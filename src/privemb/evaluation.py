@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphcore import EdgeSplit, split_nodes
+from .graphcore import EdgeSplit, InputError, split_nodes
 from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy, softmax_rows
 
 CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
@@ -130,12 +130,27 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
     return predict
 
 
+# bytes of the query x train x dim difference tensor built per kNN chunk
+_KNN_CHUNK_BYTES = 16 * 2**20
+
+
+def _knn_nearest(q, x, k):
+    """Indices of the k nearest training rows per query row, ties broken by
+    training order. Distances are computed a block of query rows at a time,
+    so memory stays near _KNN_CHUNK_BYTES whatever the sizes."""
+    rows = max(1, _KNN_CHUNK_BYTES // (8 * x.shape[0] * max(1, x.shape[1])))
+    nearest = np.empty((q.shape[0], k), dtype=np.int64)
+    for s in range(0, q.shape[0], rows):
+        d2 = ((q[s:s + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        nearest[s:s + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int):
     k = min(spec.k, x.shape[0])
 
     def predict(q):
-        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nearest = _knn_nearest(q, x, k)
         out = np.empty(q.shape[0], dtype=np.int64)
         for i in range(q.shape[0]):
             out[i] = np.argmax(np.bincount(y0[nearest[i]], minlength=m))
@@ -240,9 +255,12 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
     if len(train_pos) == 0 or len(held_pos) == 0 or len(held_neg) == 0:
         raise ValueError("edge split has an empty side")
-    forbidden = {(int(u), int(v)) for u, v in train_pos}
-    forbidden |= {(int(u), int(v)) for u, v in held_pos}
-    forbidden |= {(int(u), int(v)) for u, v in held_neg}
+    forbidden = {(min(u, v), max(u, v))
+                 for u, v in np.vstack([train_pos, held_pos, held_neg]).tolist()}
+    free = n * (n - 1) // 2 - sum(1 for u, v in forbidden if u != v)
+    if free < len(train_pos):
+        raise InputError(f"link evaluation needs {len(train_pos)} training non-edges "
+                         f"but only {free} node pairs are neither edges nor held out")
     rng = Rng(derive_seed(seed, "link/negatives"))
     negs = []
     seen = set()

@@ -102,10 +102,9 @@ def _loss_cases(seed):
     cases = []
 
     z0 = rng.randn(n, 4)
-    dense = batch.dense_targets()
     pw = batch.pos_weight
     def link_exact_fn(p):
-        loss, dz = link_loss_exact(p["z"], dense, pw)
+        loss, dz = link_loss_exact(p["z"], batch.link_targets, pw)
         return loss, {"z": dz}
 
     cases.append(("loss/link_exact", link_exact_fn, {"z": z0.copy()}))

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from .numkit import (
     Rng,
     ShapeError,
-    bce_with_logits,
     derive_seed,
     matmul,
     relu,
@@ -148,7 +147,6 @@ class Batch:
     utility: dict
     privacy_onehot: np.ndarray
     privacy_mask: np.ndarray
-    _dense_targets: np.ndarray = field(default=None, repr=False)
     _pos_pairs: tuple = field(default=None, repr=False)
     _pos_keys: set = field(default=None, repr=False)
 
@@ -160,11 +158,6 @@ class Batch:
     def pos_weight(self) -> float:
         nnz = self.link_targets.nnz
         return (self.n * self.n - nnz) / nnz
-
-    def dense_targets(self) -> np.ndarray:
-        if self._dense_targets is None:
-            self._dense_targets = np.asarray(self.link_targets.todense(), dtype=np.float64)
-        return self._dense_targets
 
     def positive_pairs(self):
         """All ordered nonzero target pairs, self-loops included."""
@@ -223,11 +216,53 @@ def decode_links(z_in) -> np.ndarray:
     return z_in @ z_in.T
 
 
-def link_loss_exact(z_in, targets_dense, pos_weight):
+def link_loss_exact(z_in, link_targets, pos_weight):
+    """Weighted BCE of every inner-product logit against the targets.
+
+    Equals ``bce_with_logits(z_in @ z_in.T, targets, pos_weight)`` with
+    dz = (g + g.T) @ z_in, but never builds dense targets: with
+    softplus(-x) = softplus(x) - x the loss is one dense softplus plus a
+    correction on the target's nonzeros, and the logit gradient is the
+    symmetric sigmoid(X) / n^2 plus a sparse matrix C on those nonzeros.
+    ``link_targets`` may be sparse or dense.
+    """
+    if not pos_weight > 0:
+        raise ValueError("pos_weight must be positive")
+    targets = sp.csr_matrix(link_targets, dtype=np.float64)
     logits = decode_links(z_in)
-    loss, g = bce_with_logits(logits, targets_dense, pos_weight)
-    dz = (g + g.T) @ z_in
-    return loss, dz
+    if targets.shape != logits.shape:
+        raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
+    size = float(logits.size)
+    rows = np.repeat(np.arange(targets.shape[0]), np.diff(targets.indptr))
+    cols = targets.indices
+    t = targets.data
+    x_pos = logits[rows, cols]
+    sp_all = softplus(logits)
+    sp_pos = sp_all[rows, cols]
+    correction = t * ((pos_weight - 1.0) * sp_pos - pos_weight * x_pos)
+    total = float(sp_all.sum()) + float(correction.sum())
+    # sigmoid(x) = exp(x - softplus(x)), computed in place over the logits
+    sig = np.subtract(logits, sp_all, out=logits)
+    del sp_all
+    np.exp(sig, out=sig)
+    c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
+                       cols, targets.indptr), shape=targets.shape)
+    dz = matmul(sig, z_in) * (2.0 / size) + (c + c.T) @ z_in
+    return total / size, dz
+
+
+# pairs per chunk of gathered endpoint rows in the sampled loss
+_PAIR_CHUNK = 8192
+
+
+def _pair_logits(z_in, rows, cols):
+    """Inner products z_in[rows[k]] . z_in[cols[k]], gathered a fixed number
+    of pairs at a time so the memory stays bounded."""
+    out = np.empty(rows.size)
+    for s in range(0, rows.size, _PAIR_CHUNK):
+        e = s + _PAIR_CHUNK
+        out[s:e] = np.einsum("ij,ij->i", z_in[rows[s:e]], z_in[cols[s:e]])
+    return out
 
 
 def link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total):
@@ -238,17 +273,17 @@ def link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total)
     """
     n = z_in.shape[0]
     scale = n_neg_total / float(n * n)
-    x_pos = np.einsum("ij,ij->i", z_in[pos_rows], z_in[pos_cols])
-    x_neg = np.einsum("ij,ij->i", z_in[neg_rows], z_in[neg_cols])
+    x_pos = _pair_logits(z_in, pos_rows, pos_cols)
+    x_neg = _pair_logits(z_in, neg_rows, neg_cols)
     loss = scale * (float(softplus(-x_pos).mean()) + float(softplus(x_neg).mean()))
     gp = scale * (sigmoid(x_pos) - 1.0) / x_pos.size
     gn = scale * sigmoid(x_neg) / x_neg.size
-    dz = np.zeros_like(z_in)
-    np.add.at(dz, pos_rows, gp[:, None] * z_in[pos_cols])
-    np.add.at(dz, pos_cols, gp[:, None] * z_in[pos_rows])
-    np.add.at(dz, neg_rows, gn[:, None] * z_in[neg_cols])
-    np.add.at(dz, neg_cols, gn[:, None] * z_in[neg_rows])
-    return float(loss), dz
+    # logit gradients as one sparse matrix G (repeated pairs summed), so that
+    # dz = (G + G.T) @ z_in
+    grad = sp.csr_matrix((np.concatenate([gp, gn]),
+                          (np.concatenate([pos_rows, neg_rows]),
+                           np.concatenate([pos_cols, neg_cols]))), shape=(n, n))
+    return float(loss), (grad + grad.T) @ z_in
 
 
 def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
@@ -276,7 +311,7 @@ def link_loss(z_in, batch: Batch, mode: str = "exact", rng: Rng = None,
               negs_per_pos: int = 5, neg_pairs=None):
     """Dispatch between the dense all-pairs loss and the sampled one."""
     if mode == "exact":
-        return link_loss_exact(z_in, batch.dense_targets(), batch.pos_weight)
+        return link_loss_exact(z_in, batch.link_targets, batch.pos_weight)
     if mode != "sampled":
         raise ValueError(f"unknown link loss mode '{mode}'")
     pos_rows, pos_cols = batch.positive_pairs()
@@ -389,16 +424,21 @@ def obf_loss(l_recon: float, l_att, lam: float) -> float:
     return float(l_recon) - (lam * float(l_att) if lam else 0.0)
 
 
+def release_from_code(state: ModelState, z_code) -> np.ndarray:
+    """The released embedding for a code: expanded when the variant wires
+    an expansion layer, the code itself otherwise."""
+    return expand(z_code, state.We) if state.We is not None else z_code
+
+
 def release_embedding(state: ModelState, batch: Batch):
     """Forward pass only: returns (code Z', released embedding Z)."""
     z_code = gcn_encode(batch.laplacian, batch.features, state.W0, state.W1)
-    z = expand(z_code, state.We) if state.We is not None else z_code
-    return z_code, z
+    return z_code, release_from_code(state, z_code)
 
 
 def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
                       link_mode: str = "exact", rng: Rng = None,
-                      negs_per_pos: int = 5, neg_pairs=None):
+                      negs_per_pos: int = 5, neg_pairs=None, forward=None):
     """Joint forward and backward pass for the obfuscator update.
 
     Computes the link loss, every utility head loss, and (when the variant
@@ -407,11 +447,16 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     ``state.obf_params()``. Attacker and discriminator weights are treated
     as constants here.
 
+    ``forward`` is the ``encoder_forward`` result for the current encoder
+    weights when the caller already has it; it is computed here otherwise.
+
     Returns (parts, grads): ``parts`` holds l_link, l_attr, l_att (None when
     not computed), l_recon, and l_obf.
     """
-    z_code, cache = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
-    z = expand(z_code, state.We) if state.We is not None else z_code
+    if forward is None:
+        forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
+    z_code, cache = forward
+    z = release_from_code(state, z_code)
     concat = state.variant in CONCAT_VARIANTS
     z_in = concat_privacy(z, batch.privacy_onehot) if concat else z
 

@@ -25,14 +25,14 @@ from .models import (
     VARIANTS,
     attacker_loss,
     disc_loss,
-    encoder_backward,
     encoder_forward,
     gen_fool_loss,
     init_state,
     obfuscator_losses,
     release_embedding,
+    release_from_code,
 )
-from .numkit import Adam, NumericError, Rng, derive_seed
+from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
@@ -200,8 +200,12 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         row = {"iter": t, "l_link": None, "l_attr": None, "l_att": None,
                "l_dc": None, "l_obf": None}
 
+        # The attacker and discriminator steps leave the encoder alone, so
+        # one forward before the obfuscator step and one after it serve
+        # every step of the iteration.
+        forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
         if has_attacker:
-            _, z = release_embedding(state, batch)
+            z = release_from_code(state, forward[0])
             for _ in range(cfg.k_att):
                 l_step, _, dwa, dba = attacker_loss(z, state.Wa, state.ba,
                                                     batch.privacy_onehot,
@@ -210,7 +214,8 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                 opt_att.step(state.attacker_params(), {"Wa": dwa, "ba": dba})
 
         parts, grads = obfuscator_losses(state, batch, lam=lam, link_mode=mode,
-                                         rng=rng_neg, negs_per_pos=cfg.negs_per_pos)
+                                         rng=rng_neg, negs_per_pos=cfg.negs_per_pos,
+                                         forward=forward)
         row["l_link"] = _require_finite(parts["l_link"], "l_link", t)
         row["l_attr"] = _require_finite(parts["l_attr"], "l_attr", t)
         if parts["l_att"] is not None:
@@ -219,7 +224,8 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         opt_obf.step(state.obf_params(), grads)
 
         if has_disc:
-            z_code, _ = release_embedding(state, batch)
+            z_code, (_, hidden) = encoder_forward(batch.laplacian, batch.features,
+                                                  state.W0, state.W1)
             for _ in range(cfg.k_dis):
                 prior = rng_prior.randn(g.n, z_code.shape[1])
                 l_dc, dgrads, _ = disc_loss(prior, z_code, state.Wd1, state.bd1,
@@ -227,13 +233,11 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                 _require_finite(l_dc, "l_dc", t)
                 opt_dis.step(state.disc_params(), dgrads)
             row["l_dc"] = l_dc
-            z_code, cache = encoder_forward(batch.laplacian, batch.features,
-                                            state.W0, state.W1)
             l_fool, dfake = gen_fool_loss(z_code, state.Wd1, state.bd1,
                                           state.Wd2, state.bd2)
             _require_finite(l_fool, "l_gen", t)
-            dw0, dw1 = encoder_backward(dfake, cache, batch.laplacian,
-                                        batch.features, state.W1)
+            # the W1 half of encoder_backward: the generator step moves W1 only
+            dw1 = matmul(hidden.T, spmm(batch.laplacian, dfake))
             opt_gen.step({"W1": state.W1}, {"W1": dw1})
 
         trace.append(row)
@@ -255,10 +259,10 @@ def export_embeddings(result, path) -> None:
     enough for a bit-exact float64 round-trip."""
     z = result.Z if hasattr(result, "Z") else np.asarray(result, dtype=np.float64)
     header = ",".join(f"z_{j}" for j in range(z.shape[1]))
+    row = ",".join(["%.17g"] * z.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in z:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(row * z.shape[0] % tuple(z.ravel().tolist()))
 
 
 def load_embeddings(path) -> np.ndarray:

@@ -175,6 +175,21 @@ class TestExitCodes:
         r = run_cli("train", "--config", str(bad))
         assert r.returncode == 1
 
+    def test_too_few_non_edges_for_link_eval_is_input_error(self, tmp_path):
+        # 39 of the 66 pairs are edges: the held-out split fits, but not the
+        # 33 training non-edges link evaluation draws
+        config = write_config(tmp_path, seed=0,
+                              synth={"n": 12, "p_in": 0.7, "p_out": 0.5},
+                              model={"T": 2})
+        out = tmp_path / "out"
+        assert run_cli("synth", "--config", str(config)).returncode == 0
+        assert run_cli("train", "--config", str(config)).returncode == 0
+        r = subprocess.run([sys.executable, "-m", "privemb", "eval-link", "--config",
+                            str(config), "--embeddings", str(out / "embeddings.csv")],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert "non-edges" in r.stderr
+
     def test_lambda_on_gae_is_config_error(self, tmp_path):
         config = write_config(tmp_path, model={"lambda": 1.0})
         r = run_cli("train", "--config", str(config))

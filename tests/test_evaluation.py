@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import assert_close
 
+from privemb import evaluation
 from privemb.evaluation import (
     REPORT_COLUMNS,
     ClassifierSpec,
@@ -94,6 +95,17 @@ class TestClassifiers:
         x, labels = self.separable()
         predict = fit_classifier(ClassifierSpec(kind=kind), x, labels, 3, seed=0)
         assert np.array_equal(predict(x), labels)
+
+    def test_knn_chunks_match_one_shot(self, monkeypatch):
+        # a budget of 3 query rows per chunk over 10 query rows; integer
+        # coordinates make distance ties that the stable order must keep
+        rng = Rng(2)
+        x = rng.integers(0, 3, size=(9, 2)).astype(np.float64)
+        q = rng.integers(0, 3, size=(10, 2)).astype(np.float64)
+        monkeypatch.setattr(evaluation, "_KNN_CHUNK_BYTES", 3 * 8 * 9 * 2)
+        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :4]
+        assert np.array_equal(evaluation._knn_nearest(q, x, 4), want)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):

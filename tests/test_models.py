@@ -28,7 +28,7 @@ from privemb.models import (
     recon_loss,
     release_embedding,
 )
-from privemb.numkit import Rng, ShapeError, softmax_cross_entropy
+from privemb.numkit import Rng, ShapeError, bce_with_logits, softmax_cross_entropy
 from privemb.training import TrainConfig, prepare_batch, split_edges
 
 LN2 = math.log(2.0)
@@ -148,7 +148,7 @@ class TestLinkLoss:
         n = batch.n
         nnz = batch.link_targets.nnz
         expected = 2.0 * LN2 * (n * n - nnz) / (n * n)
-        loss, dz = link_loss_exact(np.zeros((n, 3)), batch.dense_targets(),
+        loss, dz = link_loss_exact(np.zeros((n, 3)), batch.link_targets,
                                    batch.pos_weight)
         assert_close(loss, expected, tol=1e-12)
         assert np.all(dz == 0.0)  # symmetric gradient at the origin
@@ -161,11 +161,53 @@ class TestLinkLoss:
         loss, _ = link_loss_exact(z, targets, pos_weight=1.0)
         assert loss < 1e-20
 
+    @pytest.mark.parametrize("pos_weight", [0.4, 3.7])
+    def test_exact_matches_dense_bce(self, pos_weight):
+        batch = _tiny_batch(n=12, edges=tuple((i, (i + 3) % 12) for i in range(12)),
+                            feat_dim=6)
+        z = Rng(8).randn(12, 4)
+        dense = batch.link_targets.toarray()
+        want, g = bce_with_logits(z @ z.T, dense, pos_weight)
+        want_dz = (g + g.T) @ z
+        for targets in (batch.link_targets, dense):
+            loss, dz = link_loss_exact(z, targets, pos_weight)
+            assert_close(loss, want, tol=1e-12)
+            assert_close(dz, want_dz, tol=1e-12)
+
+    def test_sampled_matches_scatter_reference(self, monkeypatch):
+        # several pair chunks, and repeated pairs that must accumulate
+        monkeypatch.setattr(models, "_PAIR_CHUNK", 7)
+        rng = Rng(4)
+        n = 10
+        z = rng.randn(n, 3)
+        pos_rows = rng.integers(0, n, size=20)
+        pos_cols = rng.integers(0, n, size=20)
+        neg_rows = np.concatenate([rng.integers(0, n, size=45), [2, 2, 2]])
+        neg_cols = np.concatenate([rng.integers(0, n, size=45), [5, 5, 5]])
+        n_neg_total = 73
+
+        scale = n_neg_total / float(n * n)
+        x_pos = (z[pos_rows] * z[pos_cols]).sum(axis=1)
+        x_neg = (z[neg_rows] * z[neg_cols]).sum(axis=1)
+        want = scale * (np.logaddexp(0.0, -x_pos).mean() + np.logaddexp(0.0, x_neg).mean())
+        gp = scale * (1.0 / (1.0 + np.exp(-x_pos)) - 1.0) / x_pos.size
+        gn = scale * (1.0 / (1.0 + np.exp(-x_neg))) / x_neg.size
+        want_dz = np.zeros_like(z)
+        np.add.at(want_dz, pos_rows, gp[:, None] * z[pos_cols])
+        np.add.at(want_dz, pos_cols, gp[:, None] * z[pos_rows])
+        np.add.at(want_dz, neg_rows, gn[:, None] * z[neg_cols])
+        np.add.at(want_dz, neg_cols, gn[:, None] * z[neg_rows])
+
+        loss, dz = models.link_loss_sampled(z, pos_rows, pos_cols, neg_rows, neg_cols,
+                                            n_neg_total)
+        assert_close(loss, want, tol=1e-12)
+        assert_close(dz, want_dz, tol=1e-12)
+
     def test_exact_equals_sampled_with_all_negatives(self):
         batch = _tiny_batch(n=12, edges=tuple((i, (i + 1) % 12) for i in range(12)),
                             feat_dim=6)
         z = Rng(5).randn(12, 4)
-        dense = batch.dense_targets()
+        dense = batch.link_targets.toarray()
         neg = np.argwhere(dense == 0.0)
         loss_e, dz_e = link_loss(z, batch, mode="exact")
         loss_s, dz_s = link_loss(z, batch, mode="sampled",

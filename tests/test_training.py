@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import assert_close
 
-from privemb import training
+from privemb import models, training
 from privemb.models import VARIANTS
 from privemb.numkit import NumericError
 from privemb.training import (
@@ -174,6 +174,28 @@ class TestTrain:
             train(g, schema, quick_cfg("GAE", iterations=10))
 
 
+    @pytest.mark.parametrize("variant,forwards,backwards", [("GAE", 1, 1), ("APGE", 2, 1)])
+    def test_encoder_passes_per_iteration(self, small_synth, monkeypatch,
+                                          variant, forwards, backwards):
+        # the attacker and discriminator steps reuse the forward of the step
+        # before them, and the generator step computes only dW1; the final
+        # release adds one forward
+        g, schema = small_synth
+        calls = {"forward": 0, "backward": 0}
+        kinds = {"encoder_forward": "forward", "gcn_encode": "forward",
+                 "encoder_backward": "backward"}
+        for module in (models, training):
+            for name, kind in kinds.items():
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _kind=kind, **kwargs):
+                        calls[_kind] += 1
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        train(g, schema, quick_cfg(variant, iterations=5))
+        assert calls == {"forward": 5 * forwards + 1, "backward": 5 * backwards}
+
+
 # ------------------------------------------------------------- export
 
 
@@ -195,6 +217,16 @@ class TestExport:
         export_embeddings(np.array([[1.5, -2.25]]), path)
         back = load_embeddings(path)
         assert back.shape == (1, 2)
+
+    def test_matches_per_value_formatting(self, tmp_path):
+        z = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072014e-308],
+                      [1e300, -1e-300, 1.0 / 3.0, 0.1 + 0.2],
+                      [2.0 ** 53 + 2.0, -123456.789, 1e16, 4.9406564584124654e-320]])
+        path = tmp_path / "awkward.csv"
+        export_embeddings(z, path)
+        lines = ["z_0,z_1,z_2,z_3"] + [",".join(f"{v:.17g}" for v in row) for row in z]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        assert np.array_equal(load_embeddings(path), z)
 
     def test_trace_export(self, small_synth, tmp_path):
         g, schema = small_synth
