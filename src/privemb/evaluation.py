@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphcore import EdgeSplit, InputError, split_nodes
-from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy, softmax_rows
+from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy_grad
 
 CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
 
@@ -86,16 +86,30 @@ def _onehot(y0: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _flat_views(shapes):
+    """One zeroed float64 vector and C-contiguous views of it, one per shape,
+    so a single Adam entry updates every block in one pass."""
+    sizes = [int(np.prod(s)) for s in shapes]
+    flat = np.zeros(sum(sizes))
+    ends = np.cumsum(sizes)
+    return flat, [flat[e - n:e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
+
+
 def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
-    w = np.zeros((x.shape[1], m))
-    b = np.zeros(m)
+    n, d = x.shape
+    theta, (w, b) = _flat_views([(d, m), (m,)])
+    grad, (gw, gb) = _flat_views([(d, m), (m,)])
     onehot = _onehot(y0, m)
-    mask = np.arange(x.shape[0])
-    opt = Adam({"w": w, "b": b}, lr=spec.lr)
+    logits = np.empty((n, m))
+    g = np.empty((n, m))
+    opt = Adam({"theta": theta}, lr=spec.lr)
     for _ in range(spec.steps):
-        logits = x @ w + b
-        _, g = softmax_cross_entropy(logits, onehot, mask)
-        opt.step({"w": w, "b": b}, {"w": x.T @ g, "b": g.sum(axis=0)})
+        np.matmul(x, w, out=logits)
+        logits += b
+        softmax_cross_entropy_grad(logits, onehot, g)
+        np.matmul(x.T, g, out=gw)
+        np.add.reduce(g, axis=0, out=gb)
+        opt.step({"theta": theta}, {"theta": grad})
 
     def predict(q):
         return np.argmax(q @ w + b, axis=1)
@@ -104,24 +118,37 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
 
 
 def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
+    n, d = x.shape
+    hid = spec.hidden
+    shapes = [(d, hid), (hid,), (hid, m), (m,)]
+    theta, (w1, b1, w2, b2) = _flat_views(shapes)
+    grad, (gw1, gb1, gw2, gb2) = _flat_views(shapes)
     rng = Rng(seed)
-    w1 = rng.glorot(x.shape[1], spec.hidden)
-    b1 = np.zeros(spec.hidden)
-    w2 = rng.glorot(spec.hidden, m)
-    b2 = np.zeros(m)
+    w1[...] = rng.glorot(d, hid)
+    w2[...] = rng.glorot(hid, m)
     onehot = _onehot(y0, m)
-    mask = np.arange(x.shape[0])
-    params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    opt = Adam(params, lr=spec.lr)
+    pre = np.empty((n, hid))
+    h = np.empty((n, hid))
+    active = np.empty((n, hid), dtype=bool)
+    dh = np.empty((n, hid))
+    logits = np.empty((n, m))
+    g = np.empty((n, m))
+    opt = Adam({"theta": theta}, lr=spec.lr)
     for _ in range(spec.steps):
-        pre = x @ w1 + b1
-        h = np.maximum(pre, 0.0)
-        logits = h @ w2 + b2
-        _, g = softmax_cross_entropy(logits, onehot, mask)
-        dh = (g @ w2.T) * (pre > 0.0)
-        grads = {"w1": x.T @ dh, "b1": dh.sum(axis=0),
-                 "w2": h.T @ g, "b2": g.sum(axis=0)}
-        opt.step(params, grads)
+        np.matmul(x, w1, out=pre)
+        pre += b1
+        np.maximum(pre, 0.0, out=h)
+        np.matmul(h, w2, out=logits)
+        logits += b2
+        softmax_cross_entropy_grad(logits, onehot, g)
+        np.matmul(g, w2.T, out=dh)
+        np.greater(pre, 0.0, out=active)
+        dh *= active
+        np.matmul(x.T, dh, out=gw1)
+        np.add.reduce(dh, axis=0, out=gb1)
+        np.matmul(h.T, g, out=gw2)
+        np.add.reduce(g, axis=0, out=gb2)
+        opt.step({"theta": theta}, {"theta": grad})
 
     def predict(q):
         h = np.maximum(q @ w1 + b1, 0.0)
@@ -130,19 +157,55 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
     return predict
 
 
-# bytes of the query x train x dim difference tensor built per kNN chunk
+# memory budget of one kNN block of query rows
 _KNN_CHUNK_BYTES = 16 * 2**20
 
 
 def _knn_nearest(q, x, k):
     """Indices of the k nearest training rows per query row, ties broken by
-    training order. Distances are computed a block of query rows at a time,
-    so memory stays near _KNN_CHUNK_BYTES whatever the sizes."""
-    rows = max(1, _KNN_CHUNK_BYTES // (8 * x.shape[0] * max(1, x.shape[1])))
+    training order.
+
+    Exact, by a screen: for a block of query rows, the expansion
+    |q|^2 + |x|^2 - 2 q.x (one matrix product) keeps every training row
+    that can be among the k nearest, and only those candidates are ranked
+    by the direct distance ((q - x)**2).sum with a stable sort, as a full
+    ranking would. Both formulas err by at most (2d + 5) eps (|q|^2 + |x|^2)
+    against the true distance (plus underflow), so a true k-th nearest row
+    lies within twice that of the k-th smallest screened value; the slack
+    below is more than twice that again. Every array a block builds holds
+    at most an eighth of _KNN_CHUNK_BYTES, even when ties make every
+    training row a candidate.
+    """
+    n, d = x.shape
+    budget = _KNN_CHUNK_BYTES // 8
+    rows = max(1, min(q.shape[0], budget // (8 * n)))
+    pair_rows = max(1, budget // (8 * max(1, d)))
+    x_sq = np.einsum("ij,ij->i", x, x)
+    tol = 8 * (d + 4) * np.finfo(np.float64).eps
+    floor = 8 * (d + 4) * np.finfo(np.float64).tiny
+    block = np.empty((rows, n))
     nearest = np.empty((q.shape[0], k), dtype=np.int64)
     for s in range(0, q.shape[0], rows):
-        d2 = ((q[s:s + rows, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        nearest[s:s + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        qb = q[s:s + rows]
+        q_sq = np.einsum("ij,ij->i", qb, qb)
+        approx = np.matmul(qb, x.T, out=block[:qb.shape[0]])
+        approx *= -2.0
+        approx += q_sq[:, None]
+        approx += x_sq
+        bound = (np.partition(approx, k - 1, axis=1)[:, k - 1]
+                 + tol * (q_sq + x_sq.max()) + floor)
+        # a NaN from overflow compares false, so it keeps the row
+        qi, xi = np.nonzero(~(approx > bound[:, None]))
+        dist = np.empty(qi.size)
+        for c in range(0, qi.size, pair_rows):
+            part = slice(c, c + pair_rows)
+            diff = qb[qi[part]]
+            diff -= x[xi[part]]
+            np.square(diff, out=diff)
+            np.add.reduce(diff, axis=1, out=dist[part])
+        order = np.lexsort((dist, qi))
+        starts = np.searchsorted(qi, np.arange(qb.shape[0]))
+        nearest[s:s + rows] = xi[order[starts[:, None] + np.arange(k)]]
     return nearest
 
 
@@ -150,11 +213,9 @@ def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int):
     k = min(spec.k, x.shape[0])
 
     def predict(q):
-        nearest = _knn_nearest(q, x, k)
-        out = np.empty(q.shape[0], dtype=np.int64)
-        for i in range(q.shape[0]):
-            out[i] = np.argmax(np.bincount(y0[nearest[i]], minlength=m))
-        return out
+        votes = y0[_knn_nearest(q, x, k)]
+        counts = (votes[:, :, None] == np.arange(m)).sum(axis=1)
+        return np.argmax(counts, axis=1)
 
     return predict
 
@@ -185,7 +246,7 @@ def _split_with_redraw(mask, labels, fraction, seed, attempts=20):
         split = split_nodes(mask, fraction, derive_seed(seed, f"try/{a}"))
         if np.all(np.isin(present, labels[split.train])):
             return split
-    raise ValueError(f"no split with all classes on the training side after {attempts} draws")
+    raise InputError(f"no split with all classes on the training side after {attempts} draws")
 
 
 def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
@@ -198,7 +259,7 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
     labels = np.asarray(labels, dtype=np.int64).ravel()
     mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size == 0:
-        raise ValueError("no labeled nodes to evaluate")
+        raise InputError("no labeled nodes to evaluate")
     accs = []
     f1s = []
     for r in range(repeats):
@@ -254,7 +315,7 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     held_pos = np.asarray(split.heldout_pos, dtype=np.int64)
     held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
     if len(train_pos) == 0 or len(held_pos) == 0 or len(held_neg) == 0:
-        raise ValueError("edge split has an empty side")
+        raise InputError("edge split has an empty side")
     forbidden = {(min(u, v), max(u, v))
                  for u, v in np.vstack([train_pos, held_pos, held_neg]).tolist()}
     free = n * (n - 1) // 2 - sum(1 for u, v in forbidden if u != v)
@@ -291,21 +352,6 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
                                fraction=frac, metric=metric, mean=float(value),
                                std=0.0, repeats=1))
     return rows
-
-
-def utility_privacy_ratio(records) -> float:
-    """Mean of the link and utility macro F1 means divided by the privacy
-    macro F1 mean. Higher is a better privacy/utility trade."""
-    link = [r.mean for r in records if r.task == "link" and r.metric == "MacroF1"]
-    utility = [r.mean for r in records if r.task.startswith("utility:") and r.metric == "MacroF1"]
-    privacy = [r.mean for r in records if r.task == "privacy" and r.metric == "MacroF1"]
-    if not link or not utility or not privacy:
-        raise ValueError("need link, utility, and privacy MacroF1 records")
-    num = float(np.mean([np.mean(link)] + utility))
-    den = float(np.mean(privacy))
-    if den <= 0:
-        raise ValueError("privacy MacroF1 must be positive")
-    return num / den
 
 
 def write_report(records, path) -> None:

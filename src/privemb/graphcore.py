@@ -18,7 +18,8 @@ from .numkit import Rng, derive_seed
 
 
 class InputError(ValueError):
-    """A data file or schema is malformed."""
+    """A data file or schema is malformed, or the data cannot support the
+    requested split or evaluation."""
 
 
 ROLES = ("private", "utility", "feature")
@@ -252,10 +253,16 @@ def normalize_adjacency(g: Graph, edges: np.ndarray = None) -> sp.csr_matrix:
         edges = g.edges
     else:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        allowed = g.edge_set()
-        for u, v in edges:
-            if (int(u), int(v)) not in allowed:
-                raise ValueError(f"edge ({int(u)}, {int(v)}) is not in the graph")
+        keys = edges[:, 0] * g.n + edges[:, 1]
+        allowed = np.sort(g.edges[:, 0] * g.n + g.edges[:, 1])
+        at = np.searchsorted(allowed, keys)
+        found = at < allowed.size
+        found[found] = allowed[at[found]] == keys[found]
+        # an out-of-range pair can share its key with an edge: check range too
+        missing = ((edges < 0) | (edges >= g.n)).any(axis=1) | ~found
+        if missing.any():
+            u, v = edges[np.argmax(missing)]
+            raise ValueError(f"edge ({int(u)}, {int(v)}) is not in the graph")
     a = adjacency_with_self_loops(g.n, edges)
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
@@ -310,7 +317,7 @@ def split_nodes(mask, fraction: float, seed: int) -> NodeSplit:
     """Shuffle the labeled nodes and cut them train/test at ``fraction``."""
     mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size < 2:
-        raise ValueError("need at least two labeled nodes to split")
+        raise InputError("need at least two labeled nodes to split")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be strictly between 0 and 1")
     shuffled = mask[Rng(seed).permutation(mask.size)]
@@ -337,7 +344,7 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
         raise ValueError("holdout must be strictly between 0 and 1")
     m = len(g.edges)
     if m < 2:
-        raise ValueError("graph has too few edges to split")
+        raise InputError("graph has too few edges to split")
     k = int(round(holdout * m))
     if k == 0 or k == m:
         raise ValueError("holdout leaves an empty split side")
@@ -348,7 +355,7 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
     existing = g.edge_set()
     max_neg = g.n * (g.n - 1) // 2 - m
     if k > max_neg:
-        raise ValueError("not enough non-edges to mirror the held-out set")
+        raise InputError("not enough non-edges to mirror the held-out set")
     negatives = []
     seen = set()
     while len(negatives) < k:

@@ -31,38 +31,10 @@ def set_deterministic(on: bool) -> None:
     _DETERMINISTIC = bool(on)
 
 
-def deterministic_mode() -> bool:
-    return _DETERMINISTIC
-
-
 def _checked(out: np.ndarray) -> np.ndarray:
     if _DETERMINISTIC and not np.all(np.isfinite(out)):
         raise NumericError("kernel produced a non-finite value")
     return out
-
-
-def as_dense(values) -> np.ndarray:
-    """Coerce to a 2-d float64 array, rejecting NaN/Inf."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"dense matrix must be 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("dense matrix contains NaN or Inf")
-    return arr
-
-
-def as_csr(matrix) -> sp.csr_matrix:
-    """Coerce to float64 CSR with sorted, deduplicated column indices."""
-    m = sp.csr_matrix(matrix, dtype=np.float64)
-    m.sum_duplicates()
-    m.sort_indices()
-    if not np.all(np.isfinite(m.data)):
-        raise NumericError("sparse matrix contains NaN or Inf")
-    return m
-
-
-def densify(s) -> np.ndarray:
-    return np.asarray(sp.csr_matrix(s).todense(), dtype=np.float64)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,6 +145,27 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
     return loss, _checked(grad)
 
 
+def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
+                               out: np.ndarray) -> np.ndarray:
+    """Gradient of ``softmax_cross_entropy`` over every row, bit for bit, for
+    a one-hot the caller has already validated.
+
+    Writes the gradient into ``out`` and uses ``logits`` as scratch: both
+    must be C-contiguous float64 arrays of one shape, and ``logits`` no
+    longer holds the logits afterwards.
+    """
+    if logits.shape != onehot.shape or out.shape != logits.shape:
+        raise ShapeError(f"logits {logits.shape}, labels {onehot.shape} and "
+                         f"output {out.shape} differ")
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=out)
+    logits -= np.log(out.sum(axis=1, keepdims=True))
+    np.exp(logits, out=out)
+    out -= onehot
+    out /= logits.shape[0]
+    return _checked(out)
+
+
 class Adam(object):
     """Bias-corrected Adam over a named collection of parameter arrays."""
 
@@ -185,9 +178,14 @@ class Adam(object):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # two scratch arrays per parameter, so a step allocates nothing
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
-        """Apply one update in place. State must match the parameter set."""
+        """Apply one update in place. State must match the parameter set.
+
+        p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), evaluated in that order.
+        """
         if set(params) != set(self.m):
             raise ShapeError("optimizer state does not match the parameter set")
         self.t += 1
@@ -199,11 +197,21 @@ class Adam(object):
                 raise ShapeError(f"gradient shape mismatch for '{k}'")
             m = self.m[k]
             v = self.v[k]
+            s1, s2 = self._scratch[k]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m += s1
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, g, out=s2)
+            s2 *= 1.0 - self.beta2
+            v += s2
+            np.divide(m, b1c, out=s1)
+            s1 *= self.lr
+            np.divide(v, b2c, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p -= s1
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -190,6 +190,22 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "non-edges" in r.stderr
 
+    def test_one_labeled_private_node_is_input_error(self, tmp_path):
+        n = 12
+        (tmp_path / "edges.tsv").write_text("".join(f"{i}\t{i + 1}\n" for i in range(n - 1)))
+        rows = [f"{i},{1 if i == 0 else 0},{1 + i % 2}" for i in range(n)]
+        (tmp_path / "attributes.csv").write_text("node_id,private,utility\n" + "\n".join(rows) + "\n")
+        emb = tmp_path / "embeddings.csv"
+        emb.write_text("z_0,z_1\n" + "".join(f"{i}.0,1.0\n" for i in range(n)))
+        config = write_config(tmp_path, synth=None, data={
+            "edges": str(tmp_path / "edges.tsv"),
+            "attributes": str(tmp_path / "attributes.csv"),
+            "schema": {"private": {"classes": 2, "role": "private"},
+                       "utility": {"classes": 2, "role": "utility"}}})
+        r = run_cli("attack", "--config", str(config), "--embeddings", str(emb))
+        assert r.returncode == 2, r.stderr
+        assert "input error" in r.stderr and "labeled nodes" in r.stderr
+
     def test_lambda_on_gae_is_config_error(self, tmp_path):
         config = write_config(tmp_path, model={"lambda": 1.0})
         r = run_cli("train", "--config", str(config))

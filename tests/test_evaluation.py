@@ -1,10 +1,12 @@
 """Metric oracles and evaluation protocol checks."""
 
 import csv
+import inspect
 
 import numpy as np
 import pytest
-from conftest import assert_close
+from conftest import adam_reference, assert_close
+from hypothesis import given, strategies as st
 
 from privemb import evaluation
 from privemb.evaluation import (
@@ -18,11 +20,10 @@ from privemb.evaluation import (
     macro_f1,
     sweep,
     utility_attr_eval,
-    utility_privacy_ratio,
     write_report,
 )
-from privemb.graphcore import Graph, split_edges
-from privemb.numkit import Rng
+from privemb.graphcore import EdgeSplit, Graph, InputError, split_edges
+from privemb.numkit import Rng, softmax_cross_entropy
 from privemb.training import TrainConfig
 
 
@@ -107,6 +108,90 @@ class TestClassifiers:
         want = np.argsort(d2, axis=1, kind="stable")[:, :4]
         assert np.array_equal(evaluation._knn_nearest(q, x, 4), want)
 
+    @pytest.mark.parametrize("n,m", [(37, 2), (50, 4)])
+    def test_softmax_matches_per_step_reference(self, n, m):
+        x, y0, q = self.problem(n, m)
+        spec = ClassifierSpec(kind="softmax", lr=0.05, steps=40)
+        predict = evaluation._fit_softmax(x, y0, m, spec, seed=0)
+        got = inspect.getclosurevars(predict).nonlocals
+        w = np.zeros((x.shape[1], m))
+        b = np.zeros(m)
+        step = adam_reference({"w": w, "b": b}, spec.lr)
+        for _ in range(spec.steps):
+            _, g = softmax_cross_entropy(x @ w + b, onehot_of(y0 + 1, m), np.arange(n))
+            step({"w": x.T @ g, "b": g.sum(axis=0)})
+        assert np.array_equal(got["w"], w) and np.array_equal(got["b"], b)
+        assert np.array_equal(predict(q), np.argmax(q @ w + b, axis=1))
+
+    @pytest.mark.parametrize("n,m", [(37, 2), (50, 4)])
+    def test_mlp_matches_per_step_reference(self, n, m):
+        x, y0, q = self.problem(n, m)
+        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
+        predict = evaluation._fit_mlp(x, y0, m, spec, seed=5)
+        got = inspect.getclosurevars(predict).nonlocals
+        rng = Rng(5)
+        p = {"w1": rng.glorot(x.shape[1], spec.hidden), "b1": np.zeros(spec.hidden),
+             "w2": rng.glorot(spec.hidden, m), "b2": np.zeros(m)}
+        step = adam_reference(p, spec.lr)
+        for _ in range(spec.steps):
+            pre = x @ p["w1"] + p["b1"]
+            h = np.maximum(pre, 0.0)
+            _, g = softmax_cross_entropy(h @ p["w2"] + p["b2"], onehot_of(y0 + 1, m),
+                                         np.arange(n))
+            dh = (g @ p["w2"].T) * (pre > 0.0)
+            step({"w1": x.T @ dh, "b1": dh.sum(axis=0),
+                  "w2": h.T @ g, "b2": g.sum(axis=0)})
+        for k in p:
+            assert np.array_equal(got[k], p[k]), k
+        h = np.maximum(q @ p["w1"] + p["b1"], 0.0)
+        assert np.array_equal(predict(q), np.argmax(h @ p["w2"] + p["b2"], axis=1))
+
+    def problem(self, n, m):
+        rng = Rng(n + m)
+        y0 = np.arange(n) % m
+        x = rng.randn(n, 6) + y0[:, None] * 0.3
+        return x, y0, rng.randn(11, 6)
+
+    def test_knn_vote_picks_lowest_tied_label(self):
+        x = np.array([[0.0], [1.0], [-1.0], [2.0]])
+        predict = fit_classifier(ClassifierSpec(kind="knn", k=4), x,
+                                 np.array([2, 1, 2, 1]), 3, seed=0)
+        # two votes each for codes 1 and 2: the lower code wins, as bincount's argmax
+        assert predict(np.array([[0.0]])).tolist() == [1]
+
+    @given(n=st.integers(1, 40), nq=st.integers(1, 25), d=st.integers(1, 9),
+           k=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["gauss", "ints", "dups", "large", "offset", "tiny",
+                                 "huge"]),
+           tiny_chunk=st.booleans())
+    def test_knn_screen_matches_brute_force(self, n, nq, d, k, seed, kind, tiny_chunk):
+        rng = np.random.default_rng(seed)
+        if kind == "ints":
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            q = rng.integers(0, 3, size=(nq, d)).astype(np.float64)
+        elif kind == "dups":
+            base = rng.standard_normal((3, d))
+            x = base[rng.integers(0, 3, size=n)]
+            q = np.vstack([x, rng.standard_normal((nq, d))])[rng.permutation(n + nq)[:nq]]
+        else:
+            scale, shift = {"gauss": (1.0, 0.0), "large": (1e6, 0.0),
+                            "offset": (1.0, 1e8), "tiny": (1e-162, 0.0),
+                            "huge": (1e200, 0.0)}[kind]
+            x = rng.standard_normal((n, d)) * scale + shift
+            q = rng.standard_normal((nq, d)) * scale + shift
+        k = min(k, n)
+        saved = evaluation._KNN_CHUNK_BYTES
+        evaluation._KNN_CHUNK_BYTES = 8 if tiny_chunk else saved
+        # "huge" overflows to inf in both formulas, and to NaN in the screen
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.argsort(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2),
+                              axis=1, kind="stable")[:, :k]
+            try:
+                got = evaluation._knn_nearest(q, x, k)
+            finally:
+                evaluation._KNN_CHUNK_BYTES = saved
+        assert np.array_equal(got, want)
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), np.ones((3, 2)),
@@ -180,6 +265,26 @@ class TestAttackEval:
                         fraction=0.5, repeats=1)
 
 
+def test_data_faults_are_input_errors():
+    z = np.eye(4)
+    labels = np.array([1, 2, 1, 2])
+    spec = ClassifierSpec(kind="softmax", steps=2)
+    for mask in (np.array([], dtype=int), np.array([2])):
+        with pytest.raises(InputError):
+            attack_eval(z, labels, mask, 2, spec, repeats=1)
+    with pytest.raises(InputError, match="training side"):
+        attack_eval(z[:2], labels[:2], np.array([0, 1]), 2, spec, repeats=1)
+    empty = np.empty((0, 2), dtype=np.int64)
+    pairs = np.array([[0, 1]])
+    with pytest.raises(InputError, match="empty side"):
+        link_eval(z, EdgeSplit(pairs, empty, pairs, seed=0), spec)
+    # parameters, not data: these stay plain configuration errors
+    for kwargs in ({"fraction": 0.05}, {"repeats": 0}):
+        with pytest.raises(ValueError) as err:
+            attack_eval(z, labels, np.arange(4), 2, spec, **kwargs)
+        assert not isinstance(err.value, InputError)
+
+
 def test_utility_eval_task_name():
     labels = np.tile(np.arange(1, 4), 30)
     z = onehot_of(labels, 3)
@@ -244,40 +349,18 @@ class TestLinkEval:
             assert_close(r.fraction, 0.8, tol=1e-12)
 
 
-# ---------------------------------------------------------------- ratio
+# ---------------------------------------------------------------- reports
 
 
-def ratio_rows(link, util, priv):
+def report_rows(link, util, priv):
     mk = lambda task, mean: EvalRecord(method="m", task=task, classifier="mlp",
                                        fraction=0.5, metric="MacroF1",
                                        mean=mean, std=0.0, repeats=1)
     return [mk("link", link), mk("utility:dept", util), mk("privacy", priv)]
 
 
-class TestRatio:
-    def test_equal_scores(self):
-        assert_close(utility_privacy_ratio(ratio_rows(0.8, 0.8, 0.8)), 1.0,
-                     tol=1e-12)
-
-    def test_hand_value(self):
-        got = utility_privacy_ratio(ratio_rows(0.82, 0.78, 0.52))
-        assert_close(got, 0.8 / 0.52, tol=1e-12)
-
-    def test_denominator_monotonicity(self):
-        lo = utility_privacy_ratio(ratio_rows(0.8, 0.8, 0.9))
-        hi = utility_privacy_ratio(ratio_rows(0.8, 0.8, 0.5))
-        assert hi > lo
-
-    def test_missing_rows(self):
-        with pytest.raises(ValueError):
-            utility_privacy_ratio(ratio_rows(0.8, 0.8, 0.8)[:2])
-
-
-# ---------------------------------------------------------------- reports
-
-
 def test_write_report_roundtrip(tmp_path):
-    rows = ratio_rows(0.82, 0.78, 0.52)
+    rows = report_rows(0.82, 0.78, 0.52)
     path = tmp_path / "report.csv"
     write_report(rows, path)
     with open(path, newline="") as fh:

@@ -126,6 +126,28 @@ def test_laplacian_rejects_foreign_edges():
         normalize_adjacency(g, np.array([[0, 2]]))
 
 
+@pytest.mark.parametrize("edges,first", [
+    ([[0, 1], [2, 3], [0, 4]], (0, 4)),      # missing
+    ([[1, 2], [0, 9], [5, 1]], (0, 9)),      # out of range
+    ([[-1, 7], [0, 1]], (-1, 7)),            # out of range, key of edge (0, 1)
+    ([[2, 3], [1, 0]], (1, 0)),              # reversed
+])
+def test_laplacian_names_first_foreign_edge(edges, first):
+    g = Graph(n=6, edges=[(0, 1), (1, 2), (2, 3), (4, 5)],
+              attributes={"status": [1] * 6, "dept": [1] * 6})
+    with pytest.raises(ValueError, match=rf"^edge \({first[0]}, {first[1]}\) is not in the graph$"):
+        normalize_adjacency(g, np.array(edges))
+
+
+def test_laplacian_of_edge_subset(small_synth):
+    g, _ = small_synth
+    subset = g.edges[::3]
+    got = normalize_adjacency(g, subset)
+    want = normalize_adjacency(Graph(n=g.n, edges=subset, attributes={}))
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
 def test_build_features_layout():
     g = Graph(n=3, edges=[(0, 1)],
               attributes={"status": [1, 2, 0], "dept": [3, 0, 1]})
@@ -163,8 +185,20 @@ def test_split_nodes_sizes_and_disjoint():
 def test_split_nodes_rejects_degenerate():
     with pytest.raises(ValueError):
         split_nodes(np.arange(10), 0.01, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         split_nodes(np.array([3]), 0.5, seed=0)
+
+
+def test_split_edges_data_faults_are_input_errors():
+    attrs = {"status": [1, 1, 2], "dept": [1, 2, 3]}
+    with pytest.raises(InputError, match="too few edges"):
+        split_edges(Graph(n=3, edges=[(0, 1)], attributes=dict(attrs)), 0.5, seed=0)
+    full = Graph(n=3, edges=[(0, 1), (0, 2), (1, 2)], attributes=dict(attrs))
+    with pytest.raises(InputError, match="non-edges"):
+        split_edges(full, 0.5, seed=0)
+    with pytest.raises(ValueError) as err:
+        split_edges(full, 1.5, seed=0)
+    assert not isinstance(err.value, InputError)
 
 
 def test_split_edges_counts(default_synth):

@@ -9,22 +9,21 @@ from privemb.numkit import (
     NumericError,
     Rng,
     ShapeError,
-    as_csr,
-    as_dense,
     bce_with_logits,
-    densify,
     derive_seed,
     grad_check,
     matmul,
     relu,
     relu_backward,
     sigmoid,
+    set_deterministic,
     softmax_cross_entropy,
+    softmax_cross_entropy_grad,
     softmax_rows,
     softplus,
     spmm,
 )
-from conftest import assert_close
+from conftest import adam_reference, assert_close
 
 
 def test_matmul_hand_oracle():
@@ -43,21 +42,14 @@ def test_matmul_shape_errors():
 def test_spmm_matches_dense():
     rng = Rng(3)
     dense = rng.random((7, 5)) * (rng.random((7, 5)) < 0.4)
-    s = as_csr(dense)
+    s = sp.csr_matrix(dense)
     b = rng.random((5, 4))
-    assert_close(spmm(s, b), densify(s) @ b, tol=1e-12)
+    assert_close(spmm(s, b), s.toarray() @ b, tol=1e-12)
 
 
 def test_spmm_rejects_dense_left():
     with pytest.raises(ShapeError):
         spmm(np.ones((2, 2)), np.ones((2, 2)))
-
-
-def test_as_dense_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        as_dense([[1.0, np.nan]])
-    with pytest.raises(ShapeError):
-        as_dense([1.0, 2.0])
 
 
 def test_relu_and_backward():
@@ -159,6 +151,46 @@ def test_cross_entropy_mask_zeroes_gradient_outside():
 def test_cross_entropy_empty_mask_raises():
     with pytest.raises(ValueError):
         softmax_cross_entropy(np.zeros((2, 2)), np.eye(2), [])
+
+
+@pytest.mark.parametrize("n,m", [(7, 2), (12, 4)])
+def test_cross_entropy_grad_kernel_matches_full_mask(n, m):
+    rng = Rng(31 + m)
+    x = rng.randn(n, m) * 30.0
+    y = np.zeros((n, m))
+    y[np.arange(n), rng.integers(0, m, size=n)] = 1.0
+    _, want = softmax_cross_entropy(x, y, np.arange(n))
+    out = np.empty((n, m))
+    got = softmax_cross_entropy_grad(x.copy(), y, out)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+def test_cross_entropy_grad_kernel_checks():
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy_grad(np.zeros((2, 3)), np.eye(2), np.empty((2, 3)))
+    x = np.array([[np.nan, 0.0]])
+    y = np.array([[1.0, 0.0]])
+    set_deterministic(True)
+    try:
+        with pytest.raises(NumericError):
+            softmax_cross_entropy_grad(x, y, np.empty((1, 2)))
+    finally:
+        set_deterministic(False)
+
+
+def test_adam_in_place_matches_expression():
+    rng = Rng(37)
+    p = {"w": rng.randn(5, 3), "b": rng.randn(1, 3).ravel()}
+    ref = {k: v.copy() for k, v in p.items()}
+    opt = Adam(p, lr=0.03)
+    step = adam_reference(ref, lr=0.03)
+    for _ in range(5):
+        grads = {"w": rng.randn(5, 3) * 1e-3, "b": rng.randn(1, 3).ravel() * 1e4}
+        opt.step(p, grads)
+        step(grads)
+        for k in p:
+            assert np.array_equal(p[k], ref[k])
 
 
 def test_adam_one_step_hand_trace():
