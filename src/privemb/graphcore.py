@@ -88,19 +88,18 @@ class AttributeSchema:
 
 
 def canonical_edges(pairs, n: int) -> np.ndarray:
-    """Normalize to unique (u, v) rows with u < v, sorted lexicographically."""
-    seen = set()
-    for u, v in pairs:
-        u = int(u)
-        v = int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge endpoint out of range: ({u}, {v})")
-        if u == v:
-            continue
-        seen.add((u, v) if u < v else (v, u))
-    if not seen:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(sorted(seen), dtype=np.int64)
+    """Normalize to unique (u, v) rows with u < v, sorted lexicographically;
+    self-loops are dropped."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)]
+        raise InputError(f"edge endpoint out of range: ({u}, {v})")
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    keep = lo != hi
+    keys = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 @dataclass
@@ -126,9 +125,6 @@ class Graph:
             if codes.shape != (self.n,):
                 raise InputError(f"attribute '{name}' must have one code per node")
             self.attributes[name] = codes
-
-    def edge_set(self) -> set:
-        return {(int(u), int(v)) for u, v in self.edges}
 
 
 def _open_maybe(src, mode="r"):
@@ -352,21 +348,23 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
     perm = rng.permutation(m)
     held = g.edges[np.sort(perm[:k])]
     train = g.edges[np.sort(perm[k:])]
-    existing = g.edge_set()
     max_neg = g.n * (g.n - 1) // 2 - m
     if k > max_neg:
         raise InputError("not enough non-edges to mirror the held-out set")
+    # pairs as u*n+v keys with u < v: their order is the order of (u, v)
+    n = g.n
+    taken = set((g.edges[:, 0] * n + g.edges[:, 1]).tolist())
     negatives = []
-    seen = set()
     while len(negatives) < k:
-        u = int(rng.integers(0, g.n))
-        v = int(rng.integers(0, g.n))
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
         if u == v:
             continue
-        e = (u, v) if u < v else (v, u)
-        if e in existing or e in seen:
+        key = u * n + v if u < v else v * n + u
+        if key in taken:
             continue
-        seen.add(e)
-        negatives.append(e)
-    heldout_neg = np.array(sorted(negatives), dtype=np.int64)
+        taken.add(key)
+        negatives.append(key)
+    keys = np.sort(np.array(negatives, dtype=np.int64))
+    heldout_neg = np.stack([keys // n, keys % n], axis=1)
     return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg, seed=seed)

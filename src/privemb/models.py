@@ -30,7 +30,6 @@ from .numkit import (
     relu_backward,
     sigmoid,
     softmax_cross_entropy,
-    softmax_rows,
     softplus,
     spmm,
 )
@@ -148,7 +147,8 @@ class Batch:
     privacy_onehot: np.ndarray
     privacy_mask: np.ndarray
     _pos_pairs: tuple = field(default=None, repr=False)
-    _pos_keys: set = field(default=None, repr=False)
+    _pos_keys: np.ndarray = field(default=None, repr=False)
+    _pos_filter: tuple = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -173,10 +173,26 @@ class Batch:
             self._pos_keys = np.sort(rows * np.int64(self.n) + cols)
         return self._pos_keys
 
+    def positive_filter(self):
+        """(table, bits): a bool table of 2**bits slots, set at the slot of
+        every positive key, so a key whose slot is clear is not a positive.
+        At least 8 slots per key keep under 1/8 of the slots set, and so of
+        the other keys hitting one; a slot is one byte, so the table takes
+        at most 16 bytes per key."""
+        if self._pos_filter is None:
+            keys = self.positive_keys()
+            bits = max(10, (8 * keys.size - 1).bit_length())
+            table = np.zeros(1 << bits, dtype=bool)
+            table[_key_slots(keys, bits)] = True
+            self._pos_filter = (table, bits)
+        return self._pos_filter
 
-def gcn_encode(lap, x, w0, w1) -> np.ndarray:
-    """Two-layer graph convolution: ReLU after the first layer, linear second."""
-    return spmm(lap, matmul(relu(spmm(lap, matmul(x, w0))), w1))
+
+def _key_slots(keys, bits: int) -> np.ndarray:
+    """Multiplicative (Fibonacci) hash of int64 keys to ``bits``-bit slots,
+    in wrapping uint64 arithmetic."""
+    mixed = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return mixed >> np.uint64(64 - bits)
 
 
 def encoder_forward(lap, x, w0, w1):
@@ -251,8 +267,9 @@ def link_loss_exact(z_in, link_targets, pos_weight):
     return total / size, dz
 
 
-# pairs per chunk of gathered endpoint rows in the sampled loss
-_PAIR_CHUNK = 8192
+# pairs per chunk of gathered endpoint rows in the sampled loss: two
+# gathered blocks of 512 rows of 65 floats stay in a core's L2 cache
+_PAIR_CHUNK = 512
 
 
 def _pair_logits(z_in, rows, cols):
@@ -287,24 +304,30 @@ def link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total)
 
 
 def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
-    """Ordered (i, j) pairs with a zero reconstruction target, with replacement."""
+    """Ordered (i, j) pairs with a zero reconstruction target, with replacement.
+
+    A candidate whose filter slot is clear is accepted at once; only the
+    filter's hits are looked up among the sorted positive keys.
+    """
     n = batch.n
     pos_keys = batch.positive_keys()
-    rows = []
-    cols = []
+    table, bits = batch.positive_filter()
+    accepted = []
     have = 0
     while have < count:
         k = max(256, count - have)
-        cand = rng.integers(0, n, size=(k, 2)).astype(np.int64)
+        cand = rng.integers(0, n, size=(k, 2)).astype(np.int64, copy=False)
         keys = cand[:, 0] * np.int64(n) + cand[:, 1]
-        idx = np.minimum(np.searchsorted(pos_keys, keys), pos_keys.size - 1)
-        good = cand[pos_keys[idx] != keys]
-        rows.append(good[:, 0])
-        cols.append(good[:, 1])
-        have += good.shape[0]
-    rows = np.concatenate(rows)[:count]
-    cols = np.concatenate(cols)[:count]
-    return rows, cols
+        hits = np.flatnonzero(table[_key_slots(keys, bits)])
+        # looked up in key order, which keeps the binary searches in cache
+        hits = hits[np.argsort(keys[hits])]
+        hit_keys = keys[hits]
+        idx = np.minimum(np.searchsorted(pos_keys, hit_keys), pos_keys.size - 1)
+        accept = np.ones(k, dtype=bool)
+        accept[hits[pos_keys[idx] == hit_keys]] = False
+        accepted.append(keys[accept])
+        have += accepted[-1].size
+    return np.divmod(np.concatenate(accepted)[:count], n)
 
 
 def link_loss(z_in, batch: Batch, mode: str = "exact", rng: Rng = None,
@@ -335,11 +358,6 @@ def attr_loss(z_in, wc, onehot, mask):
     return loss, matmul(g, wc.T), matmul(z_in.T, g)
 
 
-def recon_loss(l_link: float, attr_losses) -> float:
-    """Reconstruction objective: link loss plus every utility head loss."""
-    return float(l_link) + float(sum(attr_losses))
-
-
 def _disc_forward(z, wd1, bd1, wd2, bd2):
     pre = z @ wd1 + bd1
     hidden = relu(pre)
@@ -357,12 +375,6 @@ def _disc_backward(dq, z, pre, hidden, wd1, wd2):
     dbd1 = dpre.sum(axis=0)
     dz = dpre @ wd1.T
     return {"Wd1": dwd1, "bd1": dbd1, "Wd2": dwd2, "bd2": dbd2}, dz
-
-
-def discriminate(z, wd1, bd1, wd2, bd2) -> np.ndarray:
-    """Probability that each row came from the Gaussian prior."""
-    q, _, _ = _disc_forward(np.asarray(z, dtype=np.float64), wd1, bd1, wd2, bd2)
-    return sigmoid(q)
 
 
 def disc_loss(real, fake, wd1, bd1, wd2, bd2):
@@ -400,11 +412,6 @@ def gen_fool_loss(fake, wd1, bd1, wd2, bd2):
     return loss, dfake
 
 
-def attacker_forward(z, wa, ba) -> np.ndarray:
-    """Softmax attacker posterior over private classes."""
-    return softmax_rows(matmul(z, wa) + ba)
-
-
 def attacker_loss(z, wa, ba, onehot, mask):
     """Cross-entropy of the linear softmax attacker on labeled rows.
 
@@ -432,7 +439,7 @@ def release_from_code(state: ModelState, z_code) -> np.ndarray:
 
 def release_embedding(state: ModelState, batch: Batch):
     """Forward pass only: returns (code Z', released embedding Z)."""
-    z_code = gcn_encode(batch.laplacian, batch.features, state.W0, state.W1)
+    z_code, _ = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
     return z_code, release_from_code(state, z_code)
 
 
@@ -469,7 +476,8 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
         attr_values.append(l_c)
         dz_in = dz_in + dz_c
         grads[f"head:{name}"] = dwc
-    l_recon = recon_loss(l_link, attr_values)
+    # reconstruction objective: link loss plus every utility head loss
+    l_recon = float(l_link) + float(sum(attr_values))
 
     d = z.shape[1]
     dz = dz_in[:, :d] if concat else dz_in

@@ -11,6 +11,7 @@ from .graphcore import (
     AttributeSchema,
     EdgeSplit,
     Graph,
+    InputError,
     adjacency_with_self_loops,
     build_features,
     normalize_adjacency,
@@ -266,8 +267,40 @@ def export_embeddings(result, path) -> None:
 
 
 def load_embeddings(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    """Read an embeddings CSV: a header line, then one row of floats per node.
+
+    A non-numeric, ragged or non-finite row raises InputError naming the
+    first bad line.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise InputError(_first_bad_embedding_line(path))
     return data
+
+
+def _first_bad_embedding_line(path) -> str:
+    """Describe the first data line of an embeddings CSV that does not hold
+    as many finite floats as the first data line."""
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values = [float(v) for v in line.split(",")]
+            except ValueError:
+                return f"embeddings line {lineno}: non-numeric value"
+            width = len(values) if width is None else width
+            if len(values) != width:
+                return f"embeddings line {lineno}: {len(values)} values, expected {width}"
+            if not all(np.isfinite(values)):
+                return f"embeddings line {lineno}: non-finite value"
+    return "embeddings file is not a table of floats"
 
 
 def export_trace(trace, path) -> None:

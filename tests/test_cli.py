@@ -169,6 +169,24 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "rows" in r.stderr
 
+    @pytest.mark.parametrize("command", ["attack", "eval-link"])
+    @pytest.mark.parametrize("fault,bad_row,message", [
+        ("non-numeric", "abc,1.0", "non-numeric"),
+        ("short row", "1.0", "1 values, expected 2"),
+        ("nan", "nan,1.0", "non-finite"),
+        ("inf", "1.0,inf", "non-finite"),
+    ])
+    def test_bad_embeddings_row_is_input_error(self, tmp_path, command, fault,
+                                               bad_row, message):
+        config = write_config(tmp_path)
+        rows = [f"{i}.0,1.0" for i in range(60)]
+        rows[4] = bad_row
+        emb = tmp_path / "bad.csv"
+        emb.write_text("z_0,z_1\n" + "\n".join(rows) + "\n")
+        r = run_cli(command, "--config", str(config), "--embeddings", str(emb))
+        assert r.returncode == 2, (fault, r.stderr)
+        assert "input error" in r.stderr and f"line 6: {message}" in r.stderr
+
     def test_bad_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from privemb.graphcore import (
     AttributeSchema,
@@ -18,6 +19,7 @@ from privemb.graphcore import (
     split_edges,
     split_nodes,
 )
+from privemb.numkit import Rng
 from conftest import assert_close
 
 SCHEMA = AttributeSchema(
@@ -38,14 +40,14 @@ def test_loader_basic_and_remap():
     g = _load("10\t11\n11\t12\n", ATTRS)
     assert g.n == 3
     assert g.node_ids == (10, 11, 12)
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert list(g.attributes["status"]) == [1, 2, 1]
     assert list(g.attributes["dept"]) == [2, 0, 3]
 
 
 def test_loader_dedups_and_drops_self_loops():
     g = _load("10\t11\n11\t10\n10\t10\n# comment\n\n11\t12\n", ATTRS)
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_loader_unknown_node():
@@ -96,6 +98,36 @@ def test_canonical_edges():
     assert out.tolist() == [[0, 3], [1, 2]]
     with pytest.raises(InputError):
         canonical_edges([(0, 9)], 4)
+
+
+def _canonical_reference(pairs, n):
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge endpoint out of range: ({u}, {v})")
+        if u != v:
+            seen.add((min(u, v), max(u, v)))
+    return sorted(seen)
+
+
+@given(n=st.integers(1, 30),
+       pairs=st.lists(st.tuples(st.integers(-2, 32), st.integers(-2, 32)), max_size=80),
+       in_range=st.booleans())
+def test_canonical_edges_matches_set_reference(n, pairs, in_range):
+    # self-loops, duplicates and reversed pairs, and on half the examples
+    # out-of-range endpoints, whose first offender in input order is named
+    if in_range:
+        pairs = [(u % n, v % n) for u, v in pairs]
+    try:
+        want = _canonical_reference(pairs, n)
+    except InputError as e:
+        with pytest.raises(InputError) as err:
+            canonical_edges(pairs, n)
+        assert str(err.value) == str(e)
+        return
+    out = canonical_edges(pairs, n)
+    assert out.dtype == np.int64 and out.shape == (len(want), 2)
+    assert [tuple(e) for e in out.tolist()] == want
 
 
 def test_laplacian_path_hand_values():
@@ -218,11 +250,56 @@ def test_split_edges_disjoint_and_valid(default_synth):
     held = {tuple(e) for e in s.heldout_pos}
     negs = {tuple(e) for e in s.heldout_neg}
     assert train.isdisjoint(held)
-    assert negs.isdisjoint(g.edge_set())
+    assert negs.isdisjoint(tuple(e) for e in g.edges.tolist())
     assert all(u < v for u, v in negs)
     # deterministic
     s2 = split_edges(g, 0.15, seed=9)
     assert np.array_equal(s.heldout_neg, s2.heldout_neg)
+
+
+def _split_edges_reference(g, holdout, seed):
+    """The held-out negatives drawn against a set of (u, v) tuples."""
+    m = len(g.edges)
+    k = int(round(holdout * m))
+    rng = Rng(seed)
+    rng.permutation(m)
+    existing = {(int(u), int(v)) for u, v in g.edges}
+    negatives = []
+    seen = set()
+    while len(negatives) < k:
+        u = int(rng.integers(0, g.n))
+        v = int(rng.integers(0, g.n))
+        if u == v:
+            continue
+        e = (u, v) if u < v else (v, u)
+        if e in existing or e in seen:
+            continue
+        seen.add(e)
+        negatives.append(e)
+    return sorted(negatives)
+
+
+@given(n=st.integers(3, 40), density=st.floats(0.02, 0.9),
+       holdout=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1))
+def test_split_edges_partition_matches_tuple_reference(n, density, holdout, seed):
+    rng = np.random.default_rng(seed)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    g = Graph(n=n, edges=edges, attributes={})
+    m = len(g.edges)
+    k = int(round(holdout * m))
+    if m < 2 or k in (0, m) or k > n * (n - 1) // 2 - m:
+        return
+    s = split_edges(g, holdout, seed)
+    train = [tuple(e) for e in s.train_edges.tolist()]
+    held = [tuple(e) for e in s.heldout_pos.tolist()]
+    negs = [tuple(e) for e in s.heldout_neg.tolist()]
+    all_edges = [tuple(e) for e in g.edges.tolist()]
+    assert set(train).isdisjoint(held)
+    assert sorted(train + held) == all_edges
+    assert negs == sorted(set(negs)) and len(negs) == len(held)
+    assert set(negs).isdisjoint(all_edges) and all(u < v for u, v in negs)
+    assert s.heldout_neg.dtype == np.int64 and s.heldout_neg.shape == (k, 2)
+    assert negs == _split_edges_reference(g, holdout, seed)
 
 
 def test_graph_roundtrip_through_files(tmp_path, small_synth):

@@ -1,31 +1,31 @@
 """Loss oracles and wiring checks for the model variants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import assert_close
+from hypothesis import given, strategies as st
 
 from privemb import models
 from privemb.datagen import synth_graph
+from privemb.graphcore import adjacency_with_self_loops
 from privemb.models import (
     Batch,
     ModelState,
-    attacker_forward,
     attacker_loss,
     attr_loss,
     concat_privacy,
     decode_links,
     disc_loss,
-    discriminate,
     gen_fool_loss,
     init_state,
     link_loss,
     link_loss_exact,
     obf_loss,
     obfuscator_losses,
-    recon_loss,
     release_embedding,
 )
 from privemb.numkit import Rng, ShapeError, bce_with_logits, softmax_cross_entropy
@@ -225,6 +225,92 @@ class TestLinkLoss:
         with pytest.raises(ValueError):
             link_loss(np.zeros((batch.n, 3)), batch, mode="dense")
 
+    @pytest.mark.parametrize("chunk", [1, 3, 256, 4096])
+    def test_pair_logits_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        # each logit sums its row in the same order whatever the chunk
+        rng = Rng(9)
+        z = rng.randn(300, 65)
+        rows = rng.integers(0, 300, size=5000)
+        cols = rng.integers(0, 300, size=5000)
+        want = models._pair_logits(z, rows, cols)
+        monkeypatch.setattr(models, "_PAIR_CHUNK", chunk)
+        assert np.array_equal(models._pair_logits(z, rows, cols), want)
+
+
+# ---------------------------------------------------------------- negatives
+
+
+def _searchsorted_negatives(batch, count, rng):
+    """Negative sampling as one sorted-key lookup per candidate, the
+    reference for the filtered rejection."""
+    n = batch.n
+    pos_keys = batch.positive_keys()
+    rows = []
+    cols = []
+    have = 0
+    while have < count:
+        k = max(256, count - have)
+        cand = rng.integers(0, n, size=(k, 2)).astype(np.int64)
+        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
+        idx = np.minimum(np.searchsorted(pos_keys, keys), pos_keys.size - 1)
+        good = cand[pos_keys[idx] != keys]
+        rows.append(good[:, 0])
+        cols.append(good[:, 1])
+        have += good.shape[0]
+    return np.concatenate(rows)[:count], np.concatenate(cols)[:count]
+
+
+def _target_batch(n, edges):
+    targets = adjacency_with_self_loops(n, np.asarray(edges, dtype=np.int64))
+    return Batch(laplacian=targets, features=np.zeros((n, 1)), link_targets=targets,
+                 utility={}, privacy_onehot=np.zeros((n, 2)),
+                 privacy_mask=np.arange(0))
+
+
+class TestNegativeSampling:
+    # "clustered" hashes every key to one of three slots, so nearly every
+    # candidate hits the filter and takes the exact lookup
+    HASHES = {"fibonacci": models._key_slots,
+              "clustered": lambda keys, bits: (keys % 3).astype(np.uint64)}
+
+    @given(n=st.integers(2, 40), density=st.floats(0.0, 1.0),
+           count=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1),
+           hash_name=st.sampled_from(sorted(HASHES)))
+    def test_matches_searchsorted_reference(self, n, density, count, seed, hash_name):
+        rng = np.random.default_rng(seed)
+        pairs = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+        if len(pairs) == n * (n - 1) // 2:
+            pairs = pairs[1:]           # keep one non-edge to draw
+        with mock.patch.object(models, "_key_slots", self.HASHES[hash_name]):
+            batch = _target_batch(n, pairs)
+            rng_a, rng_b = Rng(seed), Rng(seed)
+            rows, cols = models.sample_negative_pairs(batch, count, rng_a)
+        want_rows, want_cols = _searchsorted_negatives(batch, count, rng_b)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert rows.size == count
+        assert not batch.link_targets[rows, cols].any()
+        # the same number of draws: both streams continue alike
+        assert rng_a.random() == rng_b.random()
+
+    def test_dense_graph_rejects_most_candidates(self):
+        # 1175 of the 1225 pairs of a 50-node graph are edges: about 96 %
+        # of the candidates are positives
+        n = 50
+        pairs = np.argwhere(np.triu(np.ones((n, n)), k=1))[25:]
+        batch = _target_batch(n, pairs)
+        rows, cols = models.sample_negative_pairs(batch, 3000, Rng(2))
+        want_rows, want_cols = _searchsorted_negatives(batch, 3000, Rng(2))
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert not batch.link_targets[rows, cols].any()
+
+    def test_filter_marks_every_positive(self):
+        batch = _target_batch(30, [(i, (i * 7 + 3) % 30) for i in range(30)])
+        table, bits = batch.positive_filter()
+        keys = batch.positive_keys()
+        assert table.size == 2 ** bits and bits >= 10
+        assert table.size <= max(2 ** 10, 16 * keys.size)
+        assert table[models._key_slots(keys, bits)].all()
+
 
 # ---------------------------------------------------------------- attr head
 
@@ -261,11 +347,6 @@ class TestAttrLoss:
         assert np.all(dz_a[3:] == 0.0) and np.all(dz_b[3:] == 0.0)
 
 
-def test_recon_loss_additive():
-    assert_close(recon_loss(0.7, [0.2, 0.1]), 1.0, tol=1e-15)
-    assert_close(recon_loss(0.7, []), 0.7, tol=1e-15)
-
-
 # ---------------------------------------------------------------- adversaries
 
 
@@ -274,26 +355,14 @@ class TestDiscriminator:
         return (np.zeros((width, hidden)), np.zeros(hidden),
                 np.zeros((hidden, 1)), np.zeros(1))
 
-    def test_zero_weights_half(self):
-        z = Rng(4).randn(6, 3)
-        p = discriminate(z, *self.zero_disc())
-        assert np.all(p == 0.5)
-
-    def test_probabilities_bounded(self):
-        wd1 = Rng(5).glorot(3, 4)
-        wd2 = Rng(6).glorot(4, 1)
-        p = discriminate(Rng(7).randn(20, 3) * 10.0,
-                         wd1, np.zeros(4), wd2, np.zeros(1))
-        assert np.all((p > 0.0) & (p < 1.0))
-
     def test_single_unit_composition(self):
         # one hidden unit, by hand: pre = 1*0.5 + 2*0.25 = 1.0,
-        # q = 1.0*0.3 + 0.1 = 0.4
+        # q = 1.0*0.3 + 0.1 = 0.4, and the fool loss is -log sigmoid(q)
         wd1 = np.array([[0.5], [0.25]])
         wd2 = np.array([[0.3]])
-        p = discriminate(np.array([[1.0, 2.0]]), wd1, np.zeros(1), wd2,
-                         np.array([0.1]))
-        assert_close(p[0], 1.0 / (1.0 + math.exp(-0.4)), tol=1e-15)
+        loss, _ = gen_fool_loss(np.array([[1.0, 2.0]]), wd1, np.zeros(1), wd2,
+                                np.array([0.1]))
+        assert_close(loss, math.log1p(math.exp(-0.4)), tol=1e-15)
 
     def test_disc_loss_at_half(self):
         real = Rng(8).randn(5, 3)
@@ -343,13 +412,6 @@ class TestAttacker:
         loss, _, _, _ = attacker_loss(z, np.zeros((2, 2)), np.zeros(2),
                                       onehot, np.arange(4))
         assert_close(loss, LN2, tol=1e-12)
-
-    def test_forward_rows_normalized(self):
-        z = Rng(13).randn(5, 3)
-        wa = Rng(14).glorot(3, 4)
-        p = attacker_forward(z, wa, np.zeros(4))
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(p > 0.0)
 
     def test_unlabeled_rows_zero_gradient(self):
         z = Rng(15).randn(5, 3)

@@ -182,8 +182,7 @@ class TestTrain:
         # release adds one forward
         g, schema = small_synth
         calls = {"forward": 0, "backward": 0}
-        kinds = {"encoder_forward": "forward", "gcn_encode": "forward",
-                 "encoder_backward": "backward"}
+        kinds = {"encoder_forward": "forward", "encoder_backward": "backward"}
         for module in (models, training):
             for name, kind in kinds.items():
                 if hasattr(module, name):
