@@ -10,20 +10,12 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import numkit
 from .datagen import SynthParams, synth_graph
-from .evaluation import (
-    ClassifierSpec,
-    attack_eval,
-    link_eval,
-    sweep,
-    utility_attr_eval,
-    write_report,
-)
+from .evaluation import SWEEP_AXES, ClassifierSpec, audit, sweep, write_report
 from .gradcheck import run_suite
 from .graphcore import AttributeSchema, InputError, load_graph, save_graph, split_edges
 from .numkit import NumericError, derive_seed
@@ -36,23 +28,12 @@ from .training import (
     train,
 )
 
-MODEL_DEFAULTS = {
-    "variant": "GAE",
-    "d": 64,
-    "d_prime": None,
-    "hidden": 128,
-    "lambda": None,
-    "T": 200,
-    "k_att": 1,
-    "k_dis": 1,
-    "lr": 1e-3,
-    "lr_att": 1e-3,
-    "lr_dis": 1e-3,
-    "lr_gen": None,
-    "link_loss": "auto",
-    "negatives_per_positive": 5,
-    "edge_holdout": 0.15,
-}
+# the JSON model key of each TrainConfig field, where the names differ
+MODEL_KEYS = {"lam": "lambda", "iterations": "T", "link_mode": "link_loss",
+              "negs_per_pos": "negatives_per_positive"}
+_MODEL_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
+
+MODEL_DEFAULTS = {MODEL_KEYS.get(f.name, f.name): f.default for f in _MODEL_FIELDS}
 
 EVAL_DEFAULTS = {
     "classifiers": ["mlp"],
@@ -65,15 +46,10 @@ EVAL_DEFAULTS = {
     "sweep_repeats": 5,
 }
 
-SYNTH_DEFAULTS = {
-    "n": 500,
-    "private_classes": 2,
-    "utility_classes": 4,
-    "p_in": 0.08,
-    "p_out": 0.01,
-    "rho": 0.3,
-    "flip_rate": 0.1,
-}
+SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthParams) if f.name != "seed"}
+
+# value types of the keys whose default is None (filled in per variant)
+_NONE_DEFAULT_TYPES = {"d_prime": int, "lambda": float, "lr_gen": float}
 
 
 def load_config(path) -> dict:
@@ -96,6 +72,12 @@ def _merge_section(defaults: dict, given, section: str) -> dict:
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}' in '{section}'")
+        unset = defaults[key] is None
+        kind = _NONE_DEFAULT_TYPES[key] if unset else type(defaults[key])
+        typed = isinstance(value, (int, float) if kind is float else kind)
+        if (not typed or isinstance(value, bool)) and not (unset and value is None):
+            raise ConfigError(f"'{section}.{key}' must be {kind.__name__}, "
+                              f"not {type(value).__name__}")
         merged[key] = value
     return merged
 
@@ -109,6 +91,8 @@ def resolve_config(raw: dict) -> dict:
     }
     if not isinstance(conf["seed"], int):
         raise ConfigError("seed must be an integer")
+    if not isinstance(conf["output"], str):
+        raise ConfigError("output must be a string")
     known = {"seed", "output", "model", "eval", "data", "synth"}
     for key in raw:
         if key not in known:
@@ -127,35 +111,14 @@ def resolve_config(raw: dict) -> dict:
 
 
 def build_train_config(conf: dict) -> TrainConfig:
-    m = conf["model"]
-    cfg = TrainConfig(
-        variant=m["variant"],
-        d=m["d"],
-        d_prime=m["d_prime"],
-        hidden=m["hidden"],
-        lam=m["lambda"],
-        iterations=m["T"],
-        k_att=m["k_att"],
-        k_dis=m["k_dis"],
-        lr=m["lr"],
-        lr_att=m["lr_att"],
-        lr_dis=m["lr_dis"],
-        lr_gen=m["lr_gen"],
-        link_mode=m["link_loss"],
-        negs_per_pos=m["negatives_per_positive"],
-        edge_holdout=m["edge_holdout"],
-        seed=conf["seed"],
-    )
-    return cfg.resolved()
+    model = {f.name: conf["model"][MODEL_KEYS.get(f.name, f.name)] for f in _MODEL_FIELDS}
+    return TrainConfig(seed=conf["seed"], **model).resolved()
 
 
 def load_dataset(conf: dict):
     if "data" in conf:
         data = conf["data"]
-        try:
-            schema = AttributeSchema.from_config(data["schema"])
-        except InputError:
-            raise
+        schema = AttributeSchema.from_config(data["schema"])
         g = load_graph(data["edges"], data["attributes"], schema)
         return g, schema
     if "synth" in conf:
@@ -182,19 +145,17 @@ def _echo_config(conf: dict, out: Path) -> None:
 
 def _classifier_specs(conf: dict):
     kinds = conf["eval"]["classifiers"]
-    if not isinstance(kinds, list) or not kinds:
+    if not kinds:
         raise ConfigError("eval.classifiers must be a non-empty list")
-    try:
-        return [ClassifierSpec(kind=k) for k in kinds]
-    except ValueError as e:
-        raise ConfigError(str(e))
+    # an unknown kind is a ValueError, reported as a config error
+    return [ClassifierSpec(kind=k) for k in kinds]
 
 
 def cmd_synth(conf: dict, args) -> int:
     if "synth" not in conf:
         raise ConfigError("synth command needs a 'synth' section")
     out = _out_dir(conf, args)
-    g, schema = load_dataset({k: v for k, v in conf.items() if k != "data"})
+    g, schema = load_dataset(conf)
     save_graph(g, schema, out / "edges.tsv", out / "attributes.csv")
     _echo_config(conf, out)
     print(f"wrote {out / 'edges.tsv'} ({len(g.edges)} edges) and "
@@ -218,75 +179,30 @@ def cmd_train(conf: dict, args) -> int:
     return 0
 
 
-def _load_labels(g, schema, name):
-    labels = g.attributes[name]
-    mask = np.where(labels > 0)[0]
-    return labels, mask
+# seed labels of the tasks each audit command runs
+AUDIT_LABELS = {"attack": {"privacy": "eval/attack"},
+                "eval-attr": {"utility": "eval/{name}"},
+                "eval-link": {"link": "eval/link"}}
 
 
-def cmd_attack(conf: dict, args) -> int:
+def cmd_audit(conf: dict, args) -> int:
     g, schema = load_dataset(conf)
     cfg = build_train_config(conf)
     z = load_embeddings(args.embeddings)
     if z.shape[0] != g.n:
         raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
     out = _out_dir(conf, args)
-    priv = schema.private_attribute
-    labels, mask = _load_labels(g, schema, priv)
-    records = []
-    for spec in _classifier_specs(conf):
-        records.extend(attack_eval(z, labels, mask, schema.classes[priv], spec,
-                                   fraction=conf["eval"]["fraction"],
-                                   seed=derive_seed(conf["seed"], "eval/attack"),
-                                   repeats=conf["eval"]["repeats"],
-                                   method=cfg.variant))
+    labels = AUDIT_LABELS[args.command]
+    split = split_edges(g, cfg.edge_holdout, derive_seed(cfg.seed, "edges")) \
+        if "link" in labels else None
+    records = audit(z, g, schema, _classifier_specs(conf), labels, conf["seed"], split=split,
+                    repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
+                    utility_fraction=conf["eval"]["utility_fraction"], method=cfg.variant)
     write_report(records, out / "report.csv")
     _echo_config(conf, out)
     for r in records:
-        print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f} +/- {r.std:.4f}")
-    return 0
-
-
-def cmd_eval_attr(conf: dict, args) -> int:
-    g, schema = load_dataset(conf)
-    cfg = build_train_config(conf)
-    z = load_embeddings(args.embeddings)
-    if z.shape[0] != g.n:
-        raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
-    out = _out_dir(conf, args)
-    records = []
-    for name in schema.utility_attributes:
-        labels, mask = _load_labels(g, schema, name)
-        for spec in _classifier_specs(conf):
-            records.extend(utility_attr_eval(z, labels, mask, schema.classes[name], spec,
-                                             fraction=conf["eval"]["utility_fraction"],
-                                             seed=derive_seed(conf["seed"], f"eval/{name}"),
-                                             repeats=conf["eval"]["repeats"],
-                                             method=cfg.variant, name=name))
-    write_report(records, out / "report.csv")
-    _echo_config(conf, out)
-    for r in records:
-        print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f} +/- {r.std:.4f}")
-    return 0
-
-
-def cmd_eval_link(conf: dict, args) -> int:
-    g, schema = load_dataset(conf)
-    cfg = build_train_config(conf)
-    z = load_embeddings(args.embeddings)
-    if z.shape[0] != g.n:
-        raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
-    out = _out_dir(conf, args)
-    split = split_edges(g, cfg.edge_holdout, derive_seed(cfg.seed, "edges"))
-    records = []
-    for spec in _classifier_specs(conf):
-        records.extend(link_eval(z, split, spec,
-                                 seed=derive_seed(conf["seed"], "eval/link"),
-                                 method=cfg.variant))
-    write_report(records, out / "report.csv")
-    _echo_config(conf, out)
-    for r in records:
-        print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f}")
+        spread = "" if r.task == "link" else f" +/- {r.std:.4f}"
+        print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f}{spread}")
     return 0
 
 
@@ -298,7 +214,7 @@ def cmd_sweep(conf: dict, args) -> int:
     values = {"lambda": conf["eval"]["lambda_values"],
               "dprime": conf["eval"]["dprime_values"],
               "fraction": conf["eval"]["fractions"]}[axis]
-    if not isinstance(values, list) or not values:
+    if not values:
         raise ConfigError(f"no sweep values configured for axis '{axis}'")
     spec = _classifier_specs(conf)[0]
     records = sweep(axis, values, g, schema, cfg, spec,
@@ -349,7 +265,7 @@ def main(argv=None) -> int:
     add("eval-link", "score link prediction on the held-out edges",
         needs_embeddings=True)
     p_sweep = add("sweep", "sweep lambda, dprime, or the knowledge fraction")
-    p_sweep.add_argument("--axis", required=True, choices=["lambda", "dprime", "fraction"])
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     add("gradcheck", "verify every kernel and loss against finite differences",
         needs_config=False)
 
@@ -363,9 +279,9 @@ def main(argv=None) -> int:
         handler = {
             "synth": cmd_synth,
             "train": cmd_train,
-            "attack": cmd_attack,
-            "eval-attr": cmd_eval_attr,
-            "eval-link": cmd_eval_link,
+            "attack": cmd_audit,
+            "eval-attr": cmd_audit,
+            "eval-link": cmd_audit,
             "sweep": cmd_sweep,
         }[args.command]
         return handler(conf, args)

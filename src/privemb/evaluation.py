@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphcore import EdgeSplit, InputError, split_nodes
+from .graphcore import EdgeSplit, InputError, canonical_edges, sample_non_edges, split_nodes
 from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy_grad
 
 CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
@@ -249,6 +249,14 @@ def _split_with_redraw(mask, labels, fraction, seed, attempts=20):
     raise InputError(f"no split with all classes on the training side after {attempts} draws")
 
 
+def _summary(method, task, spec, fraction, accs, f1s) -> list:
+    """ACC and MacroF1 records: mean and spread over the repeats."""
+    return [EvalRecord(method=method, task=task, classifier=spec.kind, fraction=fraction,
+                       metric=metric, mean=float(np.mean(values)),
+                       std=float(np.std(values)), repeats=len(values))
+            for metric, values in (("ACC", accs), ("MacroF1", f1s))]
+
+
 def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
                          repeats, method, task):
     if not 0.1 <= fraction <= 0.9:
@@ -270,13 +278,7 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
         pred = predict(z[split.test])
         accs.append(accuracy(labels[split.test], pred))
         f1s.append(macro_f1(labels[split.test], pred, num_classes))
-    rows = []
-    for metric, values in (("ACC", accs), ("MacroF1", f1s)):
-        rows.append(EvalRecord(method=method, task=task, classifier=spec.kind,
-                               fraction=fraction, metric=metric,
-                               mean=float(np.mean(values)),
-                               std=float(np.std(values)), repeats=repeats))
-    return rows
+    return _summary(method, task, spec, fraction, accs, f1s)
 
 
 def attack_eval(z, labels, mask, num_classes, spec: ClassifierSpec,
@@ -293,6 +295,37 @@ def utility_attr_eval(z, labels, mask, num_classes, spec: ClassifierSpec,
     """Downstream prediction of one utility attribute."""
     return _classification_eval(z, labels, mask, num_classes, spec, fraction,
                                 seed, repeats, method, f"utility:{name}")
+
+
+def audit(z, g, schema, specs, labels: dict, seed: int, split: EdgeSplit = None,
+          repeats: int = 10, fraction: float = 0.5, utility_fraction: float = 0.7,
+          method: str = "") -> list:
+    """Audit a released embedding with every classifier spec.
+
+    ``labels`` maps each task to run ('privacy', 'utility', 'link') to the
+    label its seed is derived from; "{name}" in a label stands for the
+    attribute. Records come in the order privacy, each utility attribute,
+    link, and within a task one spec after another. The link task scores
+    ``split``.
+    """
+    jobs = [("privacy", "privacy", schema.private_attribute, fraction)]
+    jobs += [("utility", f"utility:{name}", name, utility_fraction)
+             for name in schema.utility_attributes]
+    records = []
+    for kind, task, name, frac in jobs:
+        if kind not in labels:
+            continue
+        codes = g.attributes[name]
+        task_seed = derive_seed(seed, labels[kind].replace("{name}", name))
+        for spec in specs:
+            records.extend(_classification_eval(z, codes, np.where(codes > 0)[0],
+                                                schema.classes[name], spec, frac, task_seed,
+                                                repeats, method, task))
+    if "link" in labels:
+        for spec in specs:
+            records.extend(link_eval(z, split, spec, seed=derive_seed(seed, labels["link"]),
+                                     method=method))
+    return records
 
 
 def _pair_features(z, pairs):
@@ -316,26 +349,14 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
     if len(train_pos) == 0 or len(held_pos) == 0 or len(held_neg) == 0:
         raise InputError("edge split has an empty side")
-    forbidden = {(min(u, v), max(u, v))
-                 for u, v in np.vstack([train_pos, held_pos, held_neg]).tolist()}
-    free = n * (n - 1) // 2 - sum(1 for u, v in forbidden if u != v)
+    taken = canonical_edges(np.vstack([train_pos, held_pos, held_neg]), n)
+    free = n * (n - 1) // 2 - len(taken)
     if free < len(train_pos):
         raise InputError(f"link evaluation needs {len(train_pos)} training non-edges "
                          f"but only {free} node pairs are neither edges nor held out")
-    rng = Rng(derive_seed(seed, "link/negatives"))
-    negs = []
-    seen = set()
-    while len(negs) < len(train_pos):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in forbidden or e in seen:
-            continue
-        seen.add(e)
-        negs.append(e)
-    train_neg = np.array(negs, dtype=np.int64)
+    keys = sample_non_edges(n, set((taken[:, 0] * n + taken[:, 1]).tolist()), len(train_pos),
+                            Rng(derive_seed(seed, "link/negatives")))
+    train_neg = np.stack(np.divmod(keys, n), axis=1)
 
     x_train = np.vstack([_pair_features(z, train_pos), _pair_features(z, train_neg)])
     y_train = np.concatenate([np.full(len(train_pos), 2), np.full(len(train_neg), 1)])
@@ -345,13 +366,8 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     y_test = np.concatenate([np.full(len(held_pos), 2), np.full(len(held_neg), 1)])
     pred = predict(x_test)
     frac = 1.0 - len(held_pos) / (len(held_pos) + len(train_pos))
-    rows = []
-    for metric, value in (("ACC", accuracy(y_test, pred)),
-                          ("MacroF1", macro_f1(y_test, pred, 2))):
-        rows.append(EvalRecord(method=method, task="link", classifier=spec.kind,
-                               fraction=frac, metric=metric, mean=float(value),
-                               std=0.0, repeats=1))
-    return rows
+    return _summary(method, "link", spec, frac, [accuracy(y_test, pred)],
+                    [macro_f1(y_test, pred, 2)])
 
 
 def write_report(records, path) -> None:
@@ -381,27 +397,19 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec,
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    priv = schema.private_attribute
-    m_priv = schema.classes[priv]
     records = []
-
     if axis == "fraction":
         result = train(g, schema, base_cfg)
-        labels = g.attributes[priv]
-        mask = np.where(labels > 0)[0]
         for f in values:
-            records.extend(attack_eval(result.Z, labels, mask, m_priv, spec,
-                                       fraction=float(f),
-                                       seed=derive_seed(seed, f"fraction/{f:g}"),
-                                       repeats=repeats, method=base_cfg.variant))
+            records.extend(audit(result.Z, g, schema, [spec], {"privacy": f"fraction/{f:g}"},
+                                 seed, repeats=repeats, fraction=float(f),
+                                 method=base_cfg.variant))
         return records
 
+    labels = {"privacy": "attack", "utility": "utility", "link": "link"}
     for value in values:
         tag = f"{base_cfg.variant}[{axis}={value:g}]"
-        accs = {"privacy": [], "link": []}
-        f1s = {"privacy": [], "link": []}
-        util_accs = {name: [] for name in schema.utility_attributes}
-        util_f1s = {name: [] for name in schema.utility_attributes}
+        runs = []
         for r in range(repeats):
             run_seed = derive_seed(seed, f"{axis}/{value:g}/{r}")
             if axis == "lambda":
@@ -409,36 +417,13 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec,
             else:
                 cfg = replace(base_cfg, d_prime=int(value), seed=run_seed)
             result = train(g, schema, cfg)
-            labels = g.attributes[priv]
-            mask = np.where(labels > 0)[0]
-            rows = attack_eval(result.Z, labels, mask, m_priv, spec,
-                               fraction=fraction, seed=derive_seed(run_seed, "attack"),
-                               repeats=1, method=tag)
-            accs["privacy"].append(rows[0].mean)
-            f1s["privacy"].append(rows[1].mean)
-            for name in schema.utility_attributes:
-                lab = g.attributes[name]
-                msk = np.where(lab > 0)[0]
-                rows = utility_attr_eval(result.Z, lab, msk, schema.classes[name],
-                                         spec, seed=derive_seed(run_seed, "utility"),
-                                         repeats=1, method=tag, name=name)
-                util_accs[name].append(rows[0].mean)
-                util_f1s[name].append(rows[1].mean)
-            rows = link_eval(result.Z, result.edge_split, spec,
-                             seed=derive_seed(run_seed, "link"), method=tag)
-            accs["link"].append(rows[0].mean)
-            f1s["link"].append(rows[1].mean)
-
-        def block(task, acc_values, f1_values, frac):
-            for metric, vals in (("ACC", acc_values), ("MacroF1", f1_values)):
-                records.append(EvalRecord(method=tag, task=task, classifier=spec.kind,
-                                          fraction=frac, metric=metric,
-                                          mean=float(np.mean(vals)),
-                                          std=float(np.std(vals)),
-                                          repeats=repeats))
-
-        block("privacy", accs["privacy"], f1s["privacy"], fraction)
-        for name in schema.utility_attributes:
-            block(f"utility:{name}", util_accs[name], util_f1s[name], 0.7)
-        block("link", accs["link"], f1s["link"], 1.0 - base_cfg.edge_holdout)
+            runs.append(audit(result.Z, g, schema, [spec], labels, run_seed,
+                              split=result.edge_split, repeats=1, fraction=fraction,
+                              method=tag))
+        # one record per task and metric, over the runs
+        for rows in zip(*runs):
+            means = [row.mean for row in rows]
+            frac = 1.0 - base_cfg.edge_holdout if rows[0].task == "link" else rows[0].fraction
+            records.append(replace(rows[0], fraction=frac, mean=float(np.mean(means)),
+                                   std=float(np.std(means)), repeats=repeats))
     return records

@@ -14,7 +14,8 @@ import numpy as np
 
 from .datagen import SynthParams, synth_graph
 from .models import (
-    ModelState,
+    VARIANT_SPECS,
+    VARIANTS,
     attacker_loss,
     attr_loss,
     disc_loss,
@@ -47,10 +48,9 @@ def tiny_problem(variant: str, seed: int = 7):
                          p_in=0.65, p_out=0.35, rho=0.5, flip_rate=0.2, seed=seed)
     g, schema = synth_graph(params)
     batch = prepare_batch(g, schema, variant, g.edges)
-    cfg = TrainConfig(variant=variant, d=5, hidden=6,
-                      d_prime=3 if variant in ("APDGE", "APGE", "APGE_NOEXP") else None,
-                      lam=0.7 if variant in ("APPGE", "APGE", "APGE_NOEXP") else None)
-    cfg = cfg.resolved()
+    spec = VARIANT_SPECS[variant]
+    cfg = TrainConfig(variant=variant, d=5, hidden=6, d_prime=3 if spec.disentangles else None,
+                      lam=0.7 if spec.purges else None).resolved()
     utility_dims = {name: schema.classes[name] for name in schema.utility_attributes}
     state = init_state(variant, batch.features.shape[1], cfg.hidden, cfg.d,
                        cfg.d_prime or cfg.d, utility_dims,
@@ -175,7 +175,7 @@ def _loss_cases(seed):
 
 def _obfuscator_cases(seed):
     cases = []
-    for variant in ("GAE", "GAE_RM", "APDGE", "APPGE", "APGE", "APGE_NOEXP"):
+    for variant in VARIANTS:
         g, schema, batch, cfg, state = tiny_problem(variant, seed)
         lam = cfg.lam or 0.0
 

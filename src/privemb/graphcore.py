@@ -61,6 +61,8 @@ class AttributeSchema:
     @classmethod
     def from_config(cls, mapping: dict) -> "AttributeSchema":
         """Build from ``{name: {"classes": M, "role": role}}`` preserving order."""
+        if not isinstance(mapping, dict):
+            raise InputError("schema must be an object")
         names = tuple(mapping)
         classes = {}
         roles = {}
@@ -78,10 +80,6 @@ class AttributeSchema:
     @property
     def utility_attributes(self) -> tuple:
         return tuple(n for n in self.names if self.roles[n] == "utility")
-
-    @property
-    def feature_attributes(self) -> tuple:
-        return tuple(n for n in self.names if self.roles[n] == "feature")
 
     def width(self, exclude=()) -> int:
         return sum(self.classes[n] for n in self.names if n not in exclude)
@@ -348,14 +346,20 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
     perm = rng.permutation(m)
     held = g.edges[np.sort(perm[:k])]
     train = g.edges[np.sort(perm[k:])]
-    max_neg = g.n * (g.n - 1) // 2 - m
-    if k > max_neg:
-        raise InputError("not enough non-edges to mirror the held-out set")
-    # pairs as u*n+v keys with u < v: their order is the order of (u, v)
     n = g.n
-    taken = set((g.edges[:, 0] * n + g.edges[:, 1]).tolist())
-    negatives = []
-    while len(negatives) < k:
+    if k > n * (n - 1) // 2 - m:
+        raise InputError("not enough non-edges to mirror the held-out set")
+    keys = np.sort(sample_non_edges(n, set((g.edges[:, 0] * n + g.edges[:, 1]).tolist()), k, rng))
+    heldout_neg = np.stack(np.divmod(keys, n), axis=1)
+    return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg, seed=seed)
+
+
+def sample_non_edges(n: int, taken: set, count: int, rng: Rng) -> np.ndarray:
+    """``count`` distinct u*n+v keys (u < v) outside ``taken``, in draw
+    order, two scalar draws per candidate; each one accepted joins ``taken``.
+    The caller checks that enough free pairs exist."""
+    keys = []
+    while len(keys) < count:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u == v:
@@ -364,7 +368,5 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
         if key in taken:
             continue
         taken.add(key)
-        negatives.append(key)
-    keys = np.sort(np.array(negatives, dtype=np.int64))
-    heldout_neg = np.stack([keys // n, keys % n], axis=1)
-    return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg, seed=seed)
+        keys.append(key)
+    return np.array(keys, dtype=np.int64)

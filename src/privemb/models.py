@@ -1,17 +1,18 @@
 """Encoder, decoders, adversaries, and their hand-written gradients.
 
-Six wiring variants share one two-layer graph-convolution encoder:
+Six wiring variants, one row each of ``VARIANT_SPECS``, share one two-layer
+graph-convolution encoder and combine two privacy mechanisms:
 
-  GAE        plain reconstruction, full feature matrix
-  GAE_RM     plain reconstruction, private attribute removed from features
-  APDGE      privacy labels concatenated for the decoder, Gaussian prior
-             matching on the compressed code, expansion layer to the
-             release width
-  APPGE      adversarial attacker purging the private attribute, no
-             expansion, no prior matching
-  APGE       APDGE and APPGE combined
-  APGE_NOEXP APGE without the expansion layer (release width equals the
-             code width)
+  disentangling  the decoder also sees the one-hot private label, and a
+                 discriminator matches the d_prime-wide code to a Gaussian
+                 prior
+  purging        an adversarial attacker on the released embedding is
+                 penalized
+
+APDGE disentangles, APPGE purges and APGE does both. APDGE and APGE expand
+the code linearly to the release width; APGE_NOEXP is APGE releasing the
+code itself. GAE is plain reconstruction, and GAE_RM also removes the
+private attribute from the features.
 """
 
 from __future__ import annotations
@@ -34,12 +35,27 @@ from .numkit import (
     spmm,
 )
 
-VARIANTS = ("GAE", "GAE_RM", "APDGE", "APPGE", "APGE", "APGE_NOEXP")
 
-EXPANSION_VARIANTS = frozenset({"APDGE", "APGE"})
-CONCAT_VARIANTS = frozenset({"APDGE", "APGE", "APGE_NOEXP"})
-DISCRIMINATOR_VARIANTS = frozenset({"APDGE", "APGE", "APGE_NOEXP"})
-ATTACKER_VARIANTS = frozenset({"APPGE", "APGE", "APGE_NOEXP"})
+@dataclass(frozen=True)
+class VariantSpec:
+    """The mechanisms one variant wires (see the module docstring)."""
+
+    disentangles: bool
+    purges: bool
+    expands: bool
+    drops_private_feature: bool = False
+
+
+VARIANT_SPECS = {
+    "GAE": VariantSpec(disentangles=False, purges=False, expands=False),
+    "GAE_RM": VariantSpec(disentangles=False, purges=False, expands=False,
+                          drops_private_feature=True),
+    "APDGE": VariantSpec(disentangles=True, purges=False, expands=True),
+    "APPGE": VariantSpec(disentangles=False, purges=True, expands=False),
+    "APGE": VariantSpec(disentangles=True, purges=True, expands=True),
+    "APGE_NOEXP": VariantSpec(disentangles=True, purges=True, expands=False),
+}
+VARIANTS = tuple(VARIANT_SPECS)
 
 _DISC_HIDDEN = 64
 
@@ -67,23 +83,16 @@ class ModelState:
     ba: np.ndarray = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_SPECS:
             raise ValueError(f"unknown variant '{self.variant}'")
-        wants_exp = self.variant in EXPANSION_VARIANTS
-        wants_disc = self.variant in DISCRIMINATOR_VARIANTS
-        wants_att = self.variant in ATTACKER_VARIANTS
-        if wants_exp != (self.We is not None):
-            raise ValueError(f"{self.variant}: expansion layer wiring mismatch")
-        disc = [self.Wd1, self.bd1, self.Wd2, self.bd2]
-        if wants_disc != all(p is not None for p in disc):
-            raise ValueError(f"{self.variant}: discriminator wiring mismatch")
-        if not wants_disc and any(p is not None for p in disc):
-            raise ValueError(f"{self.variant} does not use a discriminator")
-        att = [self.Wa, self.ba]
-        if wants_att != all(p is not None for p in att):
-            raise ValueError(f"{self.variant}: attacker wiring mismatch")
-        if not wants_att and any(p is not None for p in att):
-            raise ValueError(f"{self.variant} does not use an attacker")
+        spec = VARIANT_SPECS[self.variant]
+        for wanted, name, blocks in (
+                (spec.expands, "expansion layer", [self.We]),
+                (spec.disentangles, "discriminator", [self.Wd1, self.bd1, self.Wd2, self.bd2]),
+                (spec.purges, "attacker", [self.Wa, self.ba])):
+            # every block of a wanted part present, none of an unwanted one
+            if sum(p is not None for p in blocks) != (len(blocks) if wanted else 0):
+                raise ValueError(f"{self.variant}: {name} wiring mismatch")
 
     def obf_params(self) -> dict:
         """Encoder, expansion, and decoder heads: everything the
@@ -94,9 +103,6 @@ class ModelState:
         for name, w in self.heads.items():
             out[f"head:{name}"] = w
         return out
-
-    def encoder_params(self) -> dict:
-        return {"W0": self.W0, "W1": self.W1}
 
     def disc_params(self) -> dict:
         return {"Wd1": self.Wd1, "bd1": self.bd1, "Wd2": self.Wd2, "bd2": self.bd2}
@@ -112,9 +118,10 @@ def init_state(variant: str, feat_dim: int, hidden: int, release_dim: int,
     def glorot(name, rows, cols):
         return Rng(derive_seed(seed, f"init/{name}")).glorot(rows, cols)
 
-    enc_out = code_dim if variant in (EXPANSION_VARIANTS | {"APGE_NOEXP"}) else release_dim
-    release = code_dim if variant == "APGE_NOEXP" else release_dim
-    dec_in = release + (m_private if variant in CONCAT_VARIANTS else 0)
+    spec = VARIANT_SPECS[variant]
+    enc_out = code_dim if spec.disentangles else release_dim
+    release = code_dim if spec.disentangles and not spec.expands else release_dim
+    dec_in = release + (m_private if spec.disentangles else 0)
 
     kwargs = dict(
         variant=variant,
@@ -122,14 +129,14 @@ def init_state(variant: str, feat_dim: int, hidden: int, release_dim: int,
         W1=glorot("W1", hidden, enc_out),
         heads={name: glorot(f"head:{name}", dec_in, m) for name, m in utility_dims.items()},
     )
-    if variant in EXPANSION_VARIANTS:
+    if spec.expands:
         kwargs["We"] = glorot("We", code_dim, release_dim)
-    if variant in DISCRIMINATOR_VARIANTS:
+    if spec.disentangles:
         kwargs["Wd1"] = glorot("Wd1", enc_out, _DISC_HIDDEN)
         kwargs["bd1"] = np.zeros(_DISC_HIDDEN)
         kwargs["Wd2"] = glorot("Wd2", _DISC_HIDDEN, 1)
         kwargs["bd2"] = np.zeros(1)
-    if variant in ATTACKER_VARIANTS:
+    if spec.purges:
         kwargs["Wa"] = glorot("Wa", release, m_private)
         kwargs["ba"] = np.zeros(m_private)
     return ModelState(**kwargs)
@@ -210,11 +217,6 @@ def encoder_backward(dz, cache, lap, x, w1):
     dpre = relu_backward(dhidden, pre)
     dw0 = matmul(x.T, spmm(lap, dpre))
     return dw0, dw1
-
-
-def expand(z_code, we) -> np.ndarray:
-    """Linear expansion from the code width to the release width."""
-    return matmul(z_code, we)
 
 
 def concat_privacy(z, privacy_onehot) -> np.ndarray:
@@ -434,7 +436,7 @@ def obf_loss(l_recon: float, l_att, lam: float) -> float:
 def release_from_code(state: ModelState, z_code) -> np.ndarray:
     """The released embedding for a code: expanded when the variant wires
     an expansion layer, the code itself otherwise."""
-    return expand(z_code, state.We) if state.We is not None else z_code
+    return matmul(z_code, state.We) if state.We is not None else z_code
 
 
 def release_embedding(state: ModelState, batch: Batch):
@@ -464,7 +466,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
         forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
     z_code, cache = forward
     z = release_from_code(state, z_code)
-    concat = state.variant in CONCAT_VARIANTS
+    concat = VARIANT_SPECS[state.variant].disentangles
     z_in = concat_privacy(z, batch.privacy_onehot) if concat else z
 
     l_link, dz_in = link_loss(z_in, batch, mode=link_mode, rng=rng,

@@ -88,15 +88,6 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-d array")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return _checked(e / e.sum(axis=1, keepdims=True))
-
-
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

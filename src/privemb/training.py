@@ -19,11 +19,9 @@ from .graphcore import (
     split_edges,
 )
 from .models import (
-    ATTACKER_VARIANTS,
+    VARIANT_SPECS,
     Batch,
-    DISCRIMINATOR_VARIANTS,
     ModelState,
-    VARIANTS,
     attacker_loss,
     disc_loss,
     encoder_forward,
@@ -73,14 +71,13 @@ class TrainConfig:
 
     def resolved(self) -> "TrainConfig":
         """Validate and fill variant-dependent defaults."""
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_SPECS:
             raise ConfigError(f"unknown variant '{self.variant}'")
+        spec = VARIANT_SPECS[self.variant]
         if self.iterations < 1 or self.k_att < 1 or self.k_dis < 1:
             raise ConfigError("iteration counts must be at least 1")
-        if min(self.lr, self.lr_att, self.lr_dis) <= 0:
-            raise ConfigError("learning rates must be positive")
         lr_gen = self.lr_dis if self.lr_gen is None else float(self.lr_gen)
-        if lr_gen <= 0:
+        if min(self.lr, self.lr_att, self.lr_dis, lr_gen) <= 0:
             raise ConfigError("learning rates must be positive")
         if not 0.0 < self.edge_holdout < 1.0:
             raise ConfigError("edge_holdout must be strictly between 0 and 1")
@@ -92,7 +89,7 @@ class TrainConfig:
             raise ConfigError("dimensions must be positive")
 
         lam = self.lam
-        if self.variant in ATTACKER_VARIANTS:
+        if spec.purges:
             lam = 1.0 if lam is None else float(lam)
             if lam < 0:
                 raise ConfigError("lam must be non-negative")
@@ -100,22 +97,16 @@ class TrainConfig:
             raise ConfigError(f"lam does not apply to variant '{self.variant}'")
 
         d_prime = self.d_prime
-        code_variants = {"APDGE", "APGE", "APGE_NOEXP"}
-        if self.variant in code_variants:
+        if spec.disentangles:
             d_prime = 16 if d_prime is None else int(d_prime)
             if d_prime < 1:
                 raise ConfigError("d_prime must be positive")
         elif d_prime is not None:
             raise ConfigError(f"d_prime does not apply to variant '{self.variant}'")
 
-        d = self.d
-        if self.variant == "APGE_NOEXP":
-            d = d_prime
+        # a disentangling variant without expansion releases its code
+        d = d_prime if spec.disentangles and not spec.expands else self.d
         return replace(self, lam=lam, d_prime=d_prime, d=d, lr_gen=lr_gen)
-
-    def release_dim(self) -> int:
-        cfg = self.resolved()
-        return cfg.d_prime if cfg.variant == "APGE_NOEXP" else cfg.d
 
 
 @dataclass
@@ -133,9 +124,9 @@ class EmbeddingResult:
 
 def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
                   train_edges: np.ndarray) -> Batch:
-    """Assemble the per-run tensors. GAE_RM drops the private attribute
-    from the feature matrix; every other variant keeps the full matrix."""
-    exclude = (schema.private_attribute,) if variant == "GAE_RM" else ()
+    """Assemble the per-run tensors. A variant that drops the private
+    feature (GAE_RM) leaves it out of the feature matrix."""
+    exclude = (schema.private_attribute,) if VARIANT_SPECS[variant].drops_private_feature else ()
     features = build_features(g, schema, exclude)
     laplacian = normalize_adjacency(g, train_edges)
     targets = adjacency_with_self_loops(g.n, train_edges)
@@ -183,29 +174,27 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     rng_neg = Rng(derive_seed(cfg.seed, "negatives"))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
-    has_attacker = cfg.variant in ATTACKER_VARIANTS
-    has_disc = cfg.variant in DISCRIMINATOR_VARIANTS
+    spec = VARIANT_SPECS[cfg.variant]
     opt_obf = Adam(state.obf_params(), lr=cfg.lr)
-    opt_att = Adam(state.attacker_params(), lr=cfg.lr_att) if has_attacker else None
-    opt_dis = Adam(state.disc_params(), lr=cfg.lr_dis) if has_disc else None
+    opt_att = Adam(state.attacker_params(), lr=cfg.lr_att) if spec.purges else None
+    opt_dis = Adam(state.disc_params(), lr=cfg.lr_dis) if spec.disentangles else None
     # The fool step only moves the code projection W1. Letting it touch W0
     # as well turns the obfuscator/generator pair into a tug-of-war over the
     # hidden layer that reliably kills ReLU units on small graphs; W1 alone
     # controls the code's location and scale, which is all prior matching
     # needs.
-    opt_gen = Adam({"W1": state.W1}, lr=cfg.lr_gen) if has_disc else None
-    lam = cfg.lam if has_attacker else 0.0
+    opt_gen = Adam({"W1": state.W1}, lr=cfg.lr_gen) if spec.disentangles else None
+    lam = cfg.lam if spec.purges else 0.0
 
     trace = []
     for t in range(1, cfg.iterations + 1):
-        row = {"iter": t, "l_link": None, "l_attr": None, "l_att": None,
-               "l_dc": None, "l_obf": None}
+        row = {"iter": t, **dict.fromkeys(TRACE_COLUMNS[1:])}
 
         # The attacker and discriminator steps leave the encoder alone, so
         # one forward before the obfuscator step and one after it serve
         # every step of the iteration.
         forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
-        if has_attacker:
+        if spec.purges:
             z = release_from_code(state, forward[0])
             for _ in range(cfg.k_att):
                 l_step, _, dwa, dba = attacker_loss(z, state.Wa, state.ba,
@@ -224,7 +213,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         row["l_obf"] = _require_finite(parts["l_obf"], "l_obf", t)
         opt_obf.step(state.obf_params(), grads)
 
-        if has_disc:
+        if spec.disentangles:
             z_code, (_, hidden) = encoder_forward(batch.laplacian, batch.features,
                                                   state.W0, state.W1)
             for _ in range(cfg.k_dis):

@@ -20,15 +20,10 @@ import pytest
 
 import conftest
 from privemb.datagen import SynthParams, synth_graph
-from privemb.evaluation import (
-    ClassifierSpec,
-    attack_eval,
-    link_eval,
-    utility_attr_eval,
-)
+from privemb.evaluation import ClassifierSpec, audit
 from privemb.gradcheck import run_suite
 from privemb.models import disc_loss, obf_loss
-from privemb.numkit import Rng, bce_with_logits, derive_seed, softmax_cross_entropy
+from privemb.numkit import Rng, bce_with_logits, softmax_cross_entropy
 from privemb.training import TrainConfig, train
 
 pytestmark = pytest.mark.acceptance
@@ -63,26 +58,16 @@ def run_metrics(variant, seed, **kw):
     g, schema = dataset()
     res = train(g, schema, TrainConfig(variant=variant, seed=seed, **kw))
 
-    priv = g.attributes["private"]
-    util = g.attributes["utility"]
-    every = np.arange(g.n)
-    att = attack_eval(res.Z, priv, every, 2, SPEC, fraction=0.5,
-                      seed=derive_seed(seed, "gate/attack"),
-                      repeats=EVAL_REPEATS)
-    uty = utility_attr_eval(res.Z, util, every, 4, SPEC, fraction=0.7,
-                            seed=derive_seed(seed, "gate/utility"),
-                            repeats=EVAL_REPEATS, name="utility")
-    lnk = link_eval(res.Z, res.edge_split, SPEC,
-                    seed=derive_seed(seed, "gate/link"))
-
-    def pick(rows, metric):
-        return next(r.mean for r in rows if r.metric == metric)
-
+    rows = audit(res.Z, g, schema, [SPEC],
+                 {"privacy": "gate/attack", "utility": "gate/utility", "link": "gate/link"},
+                 seed, split=res.edge_split, repeats=EVAL_REPEATS, fraction=0.5,
+                 utility_fraction=0.7)
+    means = {(r.task, r.metric): r.mean for r in rows}
     m = {
-        "att_f1": pick(att, "MacroF1"),
-        "att_acc": pick(att, "ACC"),
-        "util_f1": pick(uty, "MacroF1"),
-        "link_acc": pick(lnk, "ACC"),
+        "att_f1": means["privacy", "MacroF1"],
+        "att_acc": means["privacy", "ACC"],
+        "util_f1": means["utility:utility", "MacroF1"],
+        "link_acc": means["link", "ACC"],
     }
     if res.z_code is not res.Z:
         m["code_mean_max"] = float(np.abs(res.z_code.mean(axis=0)).max())

@@ -49,6 +49,35 @@ class TestResolveConfig:
         assert conf["eval"]["repeats"] == 10
         assert conf["synth"]["n"] == 500
 
+    def test_defaults_golden(self):
+        """The defaults derived from TrainConfig and SynthParams, key for key."""
+        want = {
+            "seed": 0,
+            "output": "out",
+            "model": {"variant": "GAE", "d": 64, "d_prime": None, "hidden": 128,
+                      "lambda": None, "T": 200, "k_att": 1, "k_dis": 1, "lr": 1e-3,
+                      "lr_att": 1e-3, "lr_dis": 1e-3, "lr_gen": None,
+                      "link_loss": "auto", "negatives_per_positive": 5,
+                      "edge_holdout": 0.15},
+            "eval": {"classifiers": ["mlp"], "fraction": 0.5, "utility_fraction": 0.7,
+                     "repeats": 10, "lambda_values": [0.0, 1.0, 10.0, 100.0],
+                     "dprime_values": [2, 4, 8, 16],
+                     "fractions": [0.1, 0.3, 0.5, 0.7, 0.9], "sweep_repeats": 5},
+            "synth": {"n": 500, "private_classes": 2, "utility_classes": 4,
+                      "p_in": 0.08, "p_out": 0.01, "rho": 0.3, "flip_rate": 0.1},
+        }
+        conf = resolve_config({"synth": {}})
+        # the JSON echo also tells 64 from 64.0
+        assert json.dumps(conf, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_value_types(self):
+        conf = resolve_config({"synth": {"p_in": 1}, "model": {"lr": 1, "lambda": None}})
+        assert conf["synth"]["p_in"] == 1 and conf["model"]["lr"] == 1
+        for raw in ({"model": {"lr": True}}, {"model": {"d_prime": 2.0}},
+                    {"eval": {"classifiers": "mlp"}}, {"model": {"variant": None}}):
+            with pytest.raises(ConfigError, match="must be"):
+                resolve_config(raw)
+
     def test_unknown_model_key(self):
         with pytest.raises(ConfigError, match="unknown key 'momentum'"):
             resolve_config({"model": {"momentum": 0.9}})
@@ -186,6 +215,25 @@ class TestExitCodes:
         r = run_cli(command, "--config", str(config), "--embeddings", str(emb))
         assert r.returncode == 2, (fault, r.stderr)
         assert "input error" in r.stderr and f"line 6: {message}" in r.stderr
+
+    @pytest.mark.parametrize("override,code", [
+        ({"model": {"T": "5"}}, 1),
+        ({"eval": {"repeats": "3"}}, 1),
+        ({"model": {"d": 8.5}}, 1),
+        ({"synth": {"n": 60.5}}, 1),
+        ({"output": 5}, 1),
+        ({"model": {"hidden": True}}, 1),
+        ({"synth": None, "data": {"edges": "e.tsv", "attributes": "a.csv",
+                                  "schema": [1]}}, 2),
+    ], ids=["T-str", "repeats-str", "d-float", "n-float", "output-int", "hidden-bool",
+            "schema-list"])
+    def test_wrongly_typed_value_is_one_error_line(self, tmp_path, override, code):
+        config = write_config(tmp_path, **override)
+        r = run_cli("train", "--config", str(config))
+        assert r.returncode == code, r.stderr
+        prefix = "config error:" if code == 1 else "input error:"
+        assert "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith(prefix), r.stderr
 
     def test_bad_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from privemb.evaluation import (
     EvalRecord,
     accuracy,
     attack_eval,
+    audit,
     fit_classifier,
     link_eval,
     macro_f1,
@@ -22,8 +23,8 @@ from privemb.evaluation import (
     utility_attr_eval,
     write_report,
 )
-from privemb.graphcore import EdgeSplit, Graph, InputError, split_edges
-from privemb.numkit import Rng, softmax_cross_entropy
+from privemb.graphcore import AttributeSchema, EdgeSplit, Graph, InputError, split_edges
+from privemb.numkit import Rng, derive_seed, softmax_cross_entropy
 from privemb.training import TrainConfig
 
 
@@ -369,6 +370,43 @@ def test_write_report_roundtrip(tmp_path):
     assert len(got) == 4
     assert got[1][0] == "m" and got[1][1] == "link"
     assert float(got[1][5]) == 0.82
+
+
+# ---------------------------------------------------------------- audit
+
+
+def test_audit_equals_direct_calls(small_synth):
+    g0, _ = small_synth
+    codes = Rng(4).integers(0, 4, size=g0.n)  # code 0: some nodes unlabeled
+    g = Graph(n=g0.n, edges=g0.edges,
+              attributes={"private": g0.attributes["private"],
+                          "dept": g0.attributes["utility"], "year": codes})
+    schema = AttributeSchema(names=("private", "dept", "year"),
+                             classes={"private": 2, "dept": 3, "year": 3},
+                             roles={"private": "private", "dept": "utility",
+                                    "year": "utility"})
+    z = Rng(5).randn(g.n, 4)
+    split = split_edges(g, 0.2, seed=6)
+    specs = [ClassifierSpec(kind="softmax", steps=20), ClassifierSpec(kind="knn")]
+    kw = dict(repeats=2, method="m")
+
+    want = []
+    for spec in specs:
+        want += attack_eval(z, g.attributes["private"], np.arange(g.n), 2, spec,
+                            fraction=0.4, seed=derive_seed(9, "p"), **kw)
+    for name in ("dept", "year"):
+        mask = np.flatnonzero(g.attributes[name])
+        for spec in specs:
+            want += utility_attr_eval(z, g.attributes[name], mask, 3, spec, fraction=0.6,
+                                      seed=derive_seed(9, f"u/{name}"), name=name, **kw)
+    for spec in specs:
+        want += link_eval(z, split, spec, seed=derive_seed(9, "l"), method="m")
+
+    labels = {"privacy": "p", "utility": "u/{name}", "link": "l"}
+    got = audit(z, g, schema, specs, labels, 9, split=split, fraction=0.4,
+                utility_fraction=0.6, **kw)
+    assert got == want
+    assert audit(z, g, schema, specs, {"link": "l"}, 9, split=split, **kw) == want[-4:]
 
 
 # ---------------------------------------------------------------- sweeps

@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from privemb.graphcore import (
     split_edges,
     split_nodes,
 )
-from privemb.numkit import Rng
+from privemb import evaluation
+from privemb.evaluation import ClassifierSpec, link_eval
+from privemb.numkit import Rng, derive_seed
 from conftest import assert_close
 
 SCHEMA = AttributeSchema(
@@ -279,6 +282,26 @@ def _split_edges_reference(g, holdout, seed):
     return sorted(negatives)
 
 
+def _link_negatives_reference(n, split, seed):
+    """link_eval's training non-edges drawn against a set of (u, v) tuples."""
+    forbidden = {(min(u, v), max(u, v)) for u, v in np.vstack(
+        [split.train_edges, split.heldout_pos, split.heldout_neg]).tolist()}
+    rng = Rng(derive_seed(seed, "link/negatives"))
+    negs = []
+    seen = set()
+    while len(negs) < len(split.train_edges):
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        e = (u, v) if u < v else (v, u)
+        if e in forbidden or e in seen:
+            continue
+        seen.add(e)
+        negs.append(e)
+    return np.array(negs, dtype=np.int64)
+
+
 @given(n=st.integers(3, 40), density=st.floats(0.02, 0.9),
        holdout=st.floats(0.05, 0.6), seed=st.integers(0, 2**32 - 1))
 def test_split_edges_partition_matches_tuple_reference(n, density, holdout, seed):
@@ -300,6 +323,25 @@ def test_split_edges_partition_matches_tuple_reference(n, density, holdout, seed
     assert set(negs).isdisjoint(all_edges) and all(u < v for u, v in negs)
     assert s.heldout_neg.dtype == np.int64 and s.heldout_neg.shape == (k, 2)
     assert negs == _split_edges_reference(g, holdout, seed)
+
+    # link_eval draws its training non-edges with the same sampler: the pair
+    # features it trains on are those of the tuple loop's pairs, in its order
+    z = np.random.default_rng(seed).random((n, 3))
+    fitted = []
+
+    def fit(spec, x, labels, num_classes, seed):
+        fitted.append(x)
+        return lambda q: np.ones(len(q), dtype=np.int64)
+
+    spec = ClassifierSpec(kind="softmax", steps=1)
+    with mock.patch.object(evaluation, "fit_classifier", fit):
+        if n * (n - 1) // 2 - m - k < m - k:
+            with pytest.raises(InputError, match="non-edges"):
+                link_eval(z, s, spec, seed=seed)
+            return
+        link_eval(z, s, spec, seed=seed)
+    ref = _link_negatives_reference(n, s, seed)
+    assert np.array_equal(fitted[0][m - k:], z[ref[:, 0]] * z[ref[:, 1]])
 
 
 def test_graph_roundtrip_through_files(tmp_path, small_synth):

@@ -19,7 +19,6 @@ from privemb.numkit import (
     set_deterministic,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
-    softmax_rows,
     softplus,
     spmm,
 )
@@ -74,19 +73,6 @@ def test_softplus_known_values():
     assert_close(softplus(-2.0), math.log(1 + math.exp(-2.0)))
     # linear regime for large inputs
     assert_close(softplus(800.0), 800.0, tol=1e-9)
-
-
-def test_softmax_rows_hand_value():
-    out = softmax_rows(np.array([[0.0, math.log(3.0)]]))
-    assert_close(out, [[0.25, 0.75]])
-
-
-def test_softmax_rows_sum_property():
-    rng = Rng(5)
-    x = (rng.random((40, 7)) - 0.5) * 2e3
-    out = softmax_rows(x)
-    assert_close(out.sum(axis=1), np.ones(40), tol=1e-12)
-    assert np.all(out >= 0)
 
 
 def test_bce_known_values():

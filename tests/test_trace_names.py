@@ -2,7 +2,9 @@
 
 ``bench/tracer.py`` skips a span whose function it cannot find, so a
 renamed function would silently read as 0 s. The table is read from the
-file without installing the tracer.
+file without installing the tracer. ``Tracer.install`` also patches
+``evaluation.fit_classifier`` by name, outside the table; a missing one
+would crash a traced run.
 """
 
 import importlib
@@ -12,6 +14,9 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+# functions the tracer patches by name outside SPANS
+PATCHED = {"evaluation.fit": ("evaluation", "fit_classifier")}
 
 
 def _spans():
@@ -30,7 +35,7 @@ def _resolves(module, dotted):
     return callable(owner)
 
 
-@pytest.mark.parametrize("name,target", sorted(_spans().items()))
+@pytest.mark.parametrize("name,target", sorted(_spans().items()) + sorted(PATCHED.items()))
 def test_span_names_an_existing_function(name, target):
     mod_name, attrs = target
     module = importlib.import_module(f"privemb.{mod_name}")

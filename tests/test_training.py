@@ -66,7 +66,6 @@ class TestConfig:
     def test_noexp_release_width_is_code_width(self):
         cfg = TrainConfig(variant="APGE_NOEXP", d=64, d_prime=12).resolved()
         assert cfg.d == 12
-        assert cfg.release_dim() == 12
 
     def test_bad_scalars(self):
         for kw in ({"iterations": 0}, {"k_att": 0}, {"k_dis": 0},
