@@ -63,6 +63,12 @@ def load_config(path) -> dict:
     return raw
 
 
+def _is_kind(value, kind: type) -> bool:
+    """A float accepts an int; no kind accepts a bool."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
+
+
 def _merge_section(defaults: dict, given, section: str) -> dict:
     if given is None:
         return copy.deepcopy(defaults)
@@ -74,10 +80,16 @@ def _merge_section(defaults: dict, given, section: str) -> dict:
             raise ConfigError(f"unknown key '{key}' in '{section}'")
         unset = defaults[key] is None
         kind = _NONE_DEFAULT_TYPES[key] if unset else type(defaults[key])
-        typed = isinstance(value, (int, float) if kind is float else kind)
-        if (not typed or isinstance(value, bool)) and not (unset and value is None):
+        if not (_is_kind(value, kind) or (unset and value is None)):
             raise ConfigError(f"'{section}.{key}' must be {kind.__name__}, "
                               f"not {type(value).__name__}")
+        if kind is list:
+            # each list default is non-empty, of one element type
+            elem = type(defaults[key][0])
+            for item in value:
+                if not _is_kind(item, elem):
+                    raise ConfigError(f"'{section}.{key}' elements must be {elem.__name__}, "
+                                      f"not {type(item).__name__}")
         merged[key] = value
     return merged
 

@@ -106,7 +106,7 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
     for _ in range(spec.steps):
         np.matmul(x, w, out=logits)
         logits += b
-        softmax_cross_entropy_grad(logits, onehot, g)
+        softmax_cross_entropy_grad(logits, onehot, g, n)
         np.matmul(x.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
         opt.step({"theta": theta}, {"theta": grad})
@@ -117,37 +117,56 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
     return predict
 
 
+# training rows per tile of an MLP step: the tile's hidden-layer arrays
+# stay in a core's L2 cache. Fixed, because it sets the order in which the
+# weight gradient is summed.
+_MLP_TILE_ROWS = 1024
+
+
 def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
+    """Full-batch Adam on a one-hidden-layer ReLU network. Each step walks
+    the rows in tiles of _MLP_TILE_ROWS and sums the tiles' gradients, so
+    a fit of at most one tile runs the untiled operations."""
     n, d = x.shape
     hid = spec.hidden
     shapes = [(d, hid), (hid,), (hid, m), (m,)]
     theta, (w1, b1, w2, b2) = _flat_views(shapes)
-    grad, (gw1, gb1, gw2, gb2) = _flat_views(shapes)
+    grad, grad_blocks = _flat_views(shapes)
+    part, part_blocks = _flat_views(shapes)
     rng = Rng(seed)
     w1[...] = rng.glorot(d, hid)
     w2[...] = rng.glorot(hid, m)
     onehot = _onehot(y0, m)
-    pre = np.empty((n, hid))
-    h = np.empty((n, hid))
-    active = np.empty((n, hid), dtype=bool)
-    dh = np.empty((n, hid))
-    logits = np.empty((n, m))
-    g = np.empty((n, m))
+    tile = min(n, _MLP_TILE_ROWS)
+    pre = np.empty((tile, hid))
+    h = np.empty((tile, hid))
+    active = np.empty((tile, hid), dtype=bool)
+    dh = np.empty((tile, hid))
+    logits = np.empty((tile, m))
+    g = np.empty((tile, m))
+    # each tile's rows of x and onehot, and the scratch rows it uses
+    tiles = [[a[s:s + tile] for a in (x, onehot)]
+             + [a[:min(tile, n - s)] for a in (pre, h, active, dh, logits, g)]
+             for s in range(0, n, tile)]
     opt = Adam({"theta": theta}, lr=spec.lr)
     for _ in range(spec.steps):
-        np.matmul(x, w1, out=pre)
-        pre += b1
-        np.maximum(pre, 0.0, out=h)
-        np.matmul(h, w2, out=logits)
-        logits += b2
-        softmax_cross_entropy_grad(logits, onehot, g)
-        np.matmul(g, w2.T, out=dh)
-        np.greater(pre, 0.0, out=active)
-        dh *= active
-        np.matmul(x.T, dh, out=gw1)
-        np.add.reduce(dh, axis=0, out=gb1)
-        np.matmul(h.T, g, out=gw2)
-        np.add.reduce(g, axis=0, out=gb2)
+        for i, (x_t, onehot_t, pre_t, h_t, active_t, dh_t, logits_t, g_t) in enumerate(tiles):
+            np.matmul(x_t, w1, out=pre_t)
+            pre_t += b1
+            np.maximum(pre_t, 0.0, out=h_t)
+            np.matmul(h_t, w2, out=logits_t)
+            logits_t += b2
+            softmax_cross_entropy_grad(logits_t, onehot_t, g_t, n)
+            np.matmul(g_t, w2.T, out=dh_t)
+            np.greater(pre_t, 0.0, out=active_t)
+            dh_t *= active_t
+            gw1, gb1, gw2, gb2 = part_blocks if i else grad_blocks
+            np.matmul(x_t.T, dh_t, out=gw1)
+            np.add.reduce(dh_t, axis=0, out=gb1)
+            np.matmul(h_t.T, g_t, out=gw2)
+            np.add.reduce(g_t, axis=0, out=gb2)
+            if i:
+                grad += part
         opt.step({"theta": theta}, {"theta": grad})
 
     def predict(q):

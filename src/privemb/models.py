@@ -234,6 +234,19 @@ def decode_links(z_in) -> np.ndarray:
     return z_in @ z_in.T
 
 
+# rows per block of the upper triangle in the exact link loss
+_TRI_ROWS = 64
+
+
+def _mirror_upper(a):
+    """Copy the upper triangle of the square ``a`` onto its lower triangle,
+    a block of _TRI_ROWS columns at a time; returns ``a``."""
+    for s in range(0, a.shape[0], _TRI_ROWS):
+        e = s + _TRI_ROWS
+        a[e:, s:e] = a[s:e, e:].T
+    return a
+
+
 def link_loss_exact(z_in, link_targets, pos_weight):
     """Weighted BCE of every inner-product logit against the targets.
 
@@ -255,14 +268,21 @@ def link_loss_exact(z_in, link_targets, pos_weight):
     cols = targets.indices
     t = targets.data
     x_pos = logits[rows, cols]
-    sp_all = softplus(logits)
+    # the logits are bitwise symmetric (z z^T is one syrk), so softplus and
+    # sigmoid(x) = exp(x - softplus(x)), in place over the logits, are
+    # computed on upper row blocks and mirrored, bit for bit
+    sp_all = np.empty_like(logits)
+    for s in range(0, logits.shape[0], _TRI_ROWS):
+        up = slice(s, s + _TRI_ROWS), slice(s, None)
+        np.logaddexp(0.0, logits[up], out=sp_all[up])
+        np.subtract(logits[up], sp_all[up], out=logits[up])
+        np.exp(logits[up], out=logits[up])
+    _mirror_upper(sp_all)
+    sig = _mirror_upper(logits)
     sp_pos = sp_all[rows, cols]
     correction = t * ((pos_weight - 1.0) * sp_pos - pos_weight * x_pos)
     total = float(sp_all.sum()) + float(correction.sum())
-    # sigmoid(x) = exp(x - softplus(x)), computed in place over the logits
-    sig = np.subtract(logits, sp_all, out=logits)
     del sp_all
-    np.exp(sig, out=sig)
     c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
                        cols, targets.indptr), shape=targets.shape)
     dz = matmul(sig, z_in) * (2.0 / size) + (c + c.T) @ z_in

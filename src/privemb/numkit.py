@@ -137,9 +137,11 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
-                               out: np.ndarray) -> np.ndarray:
-    """Gradient of ``softmax_cross_entropy`` over every row, bit for bit, for
-    a one-hot the caller has already validated.
+                               out: np.ndarray, rows: int) -> np.ndarray:
+    """Gradient of ``softmax_cross_entropy`` over a block of the rows, bit for
+    bit, for a one-hot the caller has already validated; ``rows`` is the
+    row count of the whole mean, so the blocks of one batch can be computed
+    one at a time.
 
     Writes the gradient into ``out`` and uses ``logits`` as scratch: both
     must be C-contiguous float64 arrays of one shape, and ``logits`` no
@@ -148,12 +150,18 @@ def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
     if logits.shape != onehot.shape or out.shape != logits.shape:
         raise ShapeError(f"logits {logits.shape}, labels {onehot.shape} and "
                          f"output {out.shape} differ")
-    logits -= logits.max(axis=1, keepdims=True)
+    # the row max as a running maximum over the columns: a max is exact in
+    # any order, and m strided passes beat one reduction over short rows
+    row_max = out[:, 0]
+    np.copyto(row_max, logits[:, 0])
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    logits -= row_max[:, None]
     np.exp(logits, out=out)
     logits -= np.log(out.sum(axis=1, keepdims=True))
     np.exp(logits, out=out)
     out -= onehot
-    out /= logits.shape[0]
+    out /= rows
     return _checked(out)
 
 

@@ -78,6 +78,18 @@ class TestResolveConfig:
             with pytest.raises(ConfigError, match="must be"):
                 resolve_config(raw)
 
+    def test_list_element_types(self):
+        # a float list accepts ints; an empty list has no element to check
+        conf = resolve_config({"eval": {"lambda_values": [0, 2.5], "fractions": [],
+                                        "dprime_values": [3]}})
+        assert conf["eval"]["lambda_values"] == [0, 2.5]
+        for raw in ({"eval": {"dprime_values": [4, 2.0]}},
+                    {"eval": {"fractions": [None]}},
+                    {"eval": {"lambda_values": [False]}},
+                    {"eval": {"classifiers": ["mlp", ["knn"]]}}):
+            with pytest.raises(ConfigError, match="elements must be"):
+                resolve_config(raw)
+
     def test_unknown_model_key(self):
         with pytest.raises(ConfigError, match="unknown key 'momentum'"):
             resolve_config({"model": {"momentum": 0.9}})
@@ -234,6 +246,22 @@ class TestExitCodes:
         prefix = "config error:" if code == 1 else "input error:"
         assert "Traceback" not in r.stderr
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith(prefix), r.stderr
+
+    @pytest.mark.parametrize("axis,eval_override", [
+        ("lambda", {"lambda_values": [None]}),
+        ("dprime", {"dprime_values": [2.7]}),
+        ("lambda", {"lambda_values": [1.0, True]}),
+        ("fraction", {"fractions": [0.5, "0.3"]}),
+        ("fraction", {"classifiers": [1]}),
+    ], ids=["lambda-null", "dprime-float", "lambda-bool", "fractions-str", "classifiers-int"])
+    def test_wrongly_typed_sweep_value_is_one_error_line(self, tmp_path, axis, eval_override):
+        config = write_config(tmp_path, model={"variant": "APGE", "T": 2},
+                              eval=dict(eval_override, sweep_repeats=1, repeats=1))
+        r = run_cli("sweep", "--config", str(config), "--axis", axis)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert r.stderr.startswith("config error:") and "elements must be" in r.stderr
 
     def test_bad_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

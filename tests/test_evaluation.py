@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,32 @@ class TestClassifiers:
             assert np.array_equal(got[k], p[k]), k
         h = np.maximum(q @ p["w1"] + p["b1"], 0.0)
         assert np.array_equal(predict(q), np.argmax(h @ p["w2"] + p["b2"], axis=1))
+
+    def test_mlp_tiles_match_one_tile(self, monkeypatch):
+        # tiles of 7 rows over 50: seven full tiles and a short last one
+        x, y0, q = self.problem(50, 3)
+        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
+        whole = evaluation._fit_mlp(x, y0, 3, spec, seed=5)
+        monkeypatch.setattr(evaluation, "_MLP_TILE_ROWS", 7)
+        tiled = evaluation._fit_mlp(x, y0, 3, spec, seed=5)
+        want = inspect.getclosurevars(whole).nonlocals
+        got = inspect.getclosurevars(tiled).nonlocals
+        for k in ("w1", "b1", "w2", "b2"):
+            assert_close(got[k], want[k], tol=1e-12)
+        assert np.array_equal(tiled(q), whole(q))
+
+    def test_mlp_fit_memory_stays_below_one_hidden_array(self):
+        n, hidden = 20000, 64
+        x = Rng(4).randn(n, 64)
+        y0 = np.arange(n) % 2
+        spec = ClassifierSpec(kind="mlp", steps=2, hidden=hidden)
+        tracemalloc.start()
+        try:
+            evaluation._fit_mlp(x, y0, 2, spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hidden * 8
 
     def problem(self, n, m):
         rng = Rng(n + m)

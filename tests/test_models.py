@@ -139,6 +139,14 @@ class TestDecodeLinks:
         logits = decode_links(z)
         assert np.allclose(logits, logits.T, atol=1e-12)
 
+    @pytest.mark.parametrize("n,d", [(500, 66), (333, 17)])
+    def test_bitwise_symmetry(self, n, d):
+        # link_loss_exact mirrors its upper triangle, which is exact only
+        # while the product is bitwise symmetric
+        z = Rng(n).randn(n, d)
+        logits = decode_links(z)
+        assert np.array_equal(logits, logits.T)
+
 
 class TestLinkLoss:
     def test_zero_embedding_closed_form(self):
@@ -173,6 +181,33 @@ class TestLinkLoss:
             loss, dz = link_loss_exact(z, targets, pos_weight)
             assert_close(loss, want, tol=1e-12)
             assert_close(dz, want_dz, tol=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(500, 66), (129, 5), (1, 3)])
+    def test_exact_matches_full_array_reference(self, n, d):
+        # the loss as it was before the upper-triangle blocks, over the full
+        # array; the targets are not symmetric
+        rng = Rng(n + d)
+        z = rng.randn(n, d) * 0.5
+        targets = sp.csr_matrix((rng.random((n, n)) < 0.02).astype(np.float64))
+        targets.setdiag(1.0)
+        targets = sp.csr_matrix(targets)
+        pos_weight = 6.5
+        logits = z @ z.T
+        size = float(logits.size)
+        rows = np.repeat(np.arange(n), np.diff(targets.indptr))
+        cols = targets.indices
+        t = targets.data
+        x_pos = logits[rows, cols]
+        sp_all = np.logaddexp(0.0, logits)
+        correction = t * ((pos_weight - 1.0) * sp_all[rows, cols] - pos_weight * x_pos)
+        want = (float(sp_all.sum()) + float(correction.sum())) / size
+        sig = np.exp(logits - sp_all)
+        c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
+                           cols, targets.indptr), shape=targets.shape)
+        want_dz = (sig @ z) * (2.0 / size) + (c + c.T) @ z
+        loss, dz = link_loss_exact(z, targets, pos_weight)
+        assert loss == want
+        assert np.array_equal(dz, want_dz)
 
     def test_sampled_matches_scatter_reference(self, monkeypatch):
         # several pair chunks, and repeated pairs that must accumulate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 from privemb.numkit import (
     Adam,
@@ -147,20 +148,50 @@ def test_cross_entropy_grad_kernel_matches_full_mask(n, m):
     y[np.arange(n), rng.integers(0, m, size=n)] = 1.0
     _, want = softmax_cross_entropy(x, y, np.arange(n))
     out = np.empty((n, m))
-    got = softmax_cross_entropy_grad(x.copy(), y, out)
+    got = softmax_cross_entropy_grad(x.copy(), y, out, n)
     assert got is out
     assert np.array_equal(got, want)
 
 
+
+def _old_cross_entropy_grad(logits, onehot, rows):
+    """The kernel as it was before the running row max: one max reduction."""
+    x = logits.copy()
+    x -= x.max(axis=1, keepdims=True)
+    out = np.exp(x)
+    x -= np.log(out.sum(axis=1, keepdims=True))
+    np.exp(x, out=out)
+    out -= onehot
+    out /= rows
+    return out
+
+
+@given(data=st.data(), n=st.integers(1, 12), m=st.integers(2, 9))
+def test_cross_entropy_grad_kernel_matches_old_row_max(data, n, m):
+    # few distinct values make ties; +-700 nearly overflows exp
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 700.0, -700.0, 699.5]),
+                      st.floats(-700.0, 700.0))
+    x = np.array(data.draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    y = np.zeros((n, m))
+    y[np.arange(n), data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))] = 1.0
+    want = _old_cross_entropy_grad(x, y, n)
+    got = softmax_cross_entropy_grad(x.copy(), y, np.empty((n, m)), n)
+    assert np.array_equal(got, want)
+    # a block of rows scaled by the whole row count gives those rows' gradient
+    s = data.draw(st.integers(0, n - 1))
+    block = softmax_cross_entropy_grad(x[s:].copy(), y[s:], np.empty((n - s, m)), n)
+    assert np.array_equal(block, want[s:])
+
+
 def test_cross_entropy_grad_kernel_checks():
     with pytest.raises(ShapeError):
-        softmax_cross_entropy_grad(np.zeros((2, 3)), np.eye(2), np.empty((2, 3)))
+        softmax_cross_entropy_grad(np.zeros((2, 3)), np.eye(2), np.empty((2, 3)), 2)
     x = np.array([[np.nan, 0.0]])
     y = np.array([[1.0, 0.0]])
     set_deterministic(True)
     try:
         with pytest.raises(NumericError):
-            softmax_cross_entropy_grad(x, y, np.empty((1, 2)))
+            softmax_cross_entropy_grad(x, y, np.empty((1, 2)), 1)
     finally:
         set_deterministic(False)
 
