@@ -192,29 +192,76 @@ def load_graph(edge_src, attribute_src, schema: AttributeSchema) -> Graph:
 
     fh, close = _open_maybe(edge_src)
     try:
-        pairs = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"edge line {lineno}: expected two tab-separated integers")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(f"edge line {lineno}: non-integer endpoint")
-            if a not in index or b not in index:
-                missing = a if a not in index else b
-                raise InputError(f"edge line {lineno}: unknown node id {missing}")
-            pairs.append((index[a], index[b]))
+        lines = list(fh)
     finally:
         if close:
             fh.close()
+    pairs = _bulk_edges(lines, raw_ids)
+    if pairs is None:
+        pairs = _scan_edges(lines, index)
 
     edges = canonical_edges(pairs, n)
     ordered = {name: attributes[name] for name in schema.names}
     return Graph(n=n, edges=edges, attributes=ordered, node_ids=tuple(raw_ids))
+
+
+# the bytes a data line may hold for the bulk edge reader, so that its form
+# does not rest on the details of np.loadtxt's parser; a line with any other
+# (`1_000`, non-ASCII digits, an inline '#', a lone '\r') goes, with its
+# whole file, to the line scan, which accepts some of them
+_BULK_BYTES = b"0123456789+- \t\n"
+
+
+def _bulk_edges(lines, raw_ids):
+    """Dense (u, v) rows of the edge lines, parsed in bulk, or None when the
+    file needs the line scan: a line outside the bulk form or an unknown id.
+
+    The bulk form is a subset of what the scan accepts, with equal values:
+    blank and comment lines are dropped exactly as the scan skips them, and
+    np.loadtxt reads a field of spaces, one sign and ASCII digits as int()
+    does and rejects the other fields of those bytes.
+    """
+    data = [ln for ln in lines if ln.strip(" \r\n")[:1] not in ("", "#")]
+    if not data:
+        return np.empty((0, 2), dtype=np.int64)
+    text = "".join(data).replace("\r\n", "\n")
+    if not text.isascii() or text.encode().translate(None, _BULK_BYTES):
+        return None
+    try:
+        ids = np.array(raw_ids, dtype=np.int64)
+        ends = np.loadtxt(data, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if ends.shape[1] != 2:
+        return None
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    at = np.minimum(np.searchsorted(sorted_ids, ends), ids.size - 1)
+    if not np.array_equal(sorted_ids[at], ends):
+        return None
+    return order[at]
+
+
+def _scan_edges(lines, index: dict) -> list:
+    """Dense (u, v) pairs of the edge lines, one line at a time; raises
+    InputError naming the first bad line."""
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"edge line {lineno}: expected two tab-separated integers")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"edge line {lineno}: non-integer endpoint")
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise InputError(f"edge line {lineno}: unknown node id {missing}")
+        pairs.append((index[a], index[b]))
+    return pairs
 
 
 def save_graph(g: Graph, schema: AttributeSchema, edges_path, attributes_path) -> None:

@@ -255,7 +255,8 @@ def link_loss_exact(z_in, link_targets, pos_weight):
     softplus(-x) = softplus(x) - x the loss is one dense softplus plus a
     correction on the target's nonzeros, and the logit gradient is the
     symmetric sigmoid(X) / n^2 plus a sparse matrix C on those nonzeros.
-    ``link_targets`` may be sparse or dense.
+    ``link_targets`` may be sparse or dense. Besides the n x n logits, which
+    become the sigmoid in place, it holds two blocks of _TRI_ROWS x n.
     """
     if not pos_weight > 0:
         raise ValueError("pos_weight must be positive")
@@ -263,26 +264,32 @@ def link_loss_exact(z_in, link_targets, pos_weight):
     logits = decode_links(z_in)
     if targets.shape != logits.shape:
         raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
+    n = logits.shape[0]
     size = float(logits.size)
-    rows = np.repeat(np.arange(targets.shape[0]), np.diff(targets.indptr))
+    rows = np.repeat(np.arange(n), np.diff(targets.indptr))
     cols = targets.indices
     t = targets.data
     x_pos = logits[rows, cols]
-    # the logits are bitwise symmetric (z z^T is one syrk), so softplus and
-    # sigmoid(x) = exp(x - softplus(x)), in place over the logits, are
-    # computed on upper row blocks and mirrored, bit for bit
-    sp_all = np.empty_like(logits)
-    for s in range(0, logits.shape[0], _TRI_ROWS):
-        up = slice(s, s + _TRI_ROWS), slice(s, None)
-        np.logaddexp(0.0, logits[up], out=sp_all[up])
-        np.subtract(logits[up], sp_all[up], out=logits[up])
-        np.exp(logits[up], out=logits[up])
-    _mirror_upper(sp_all)
+    # softplus is elementwise, so at the nonzeros it is the kernel on x_pos
+    correction = t * ((pos_weight - 1.0) * softplus(x_pos) - pos_weight * x_pos)
+    # the logits are bitwise symmetric (z z^T is one syrk): each upper row
+    # block adds its square diagonal part once and the rectangle right of it
+    # twice, then turns into sigmoid(x) = exp(x - softplus(x)) in place and
+    # is mirrored, bit for bit
+    sp_buf = np.empty(min(_TRI_ROWS, n) * n)
+    scratch = np.empty_like(sp_buf)
+    total = 0.0
+    for s in range(0, n, _TRI_ROWS):
+        h = min(_TRI_ROWS, n - s)
+        shape = (h, n - s)
+        up = logits[s:s + h, s:]
+        sp_up = softplus(up, out=sp_buf[:h * (n - s)].reshape(shape),
+                         scratch=scratch[:h * (n - s)].reshape(shape))
+        total += float(sp_up[:, :h].sum()) + 2.0 * float(sp_up[:, h:].sum())
+        np.subtract(up, sp_up, out=up)
+        np.exp(up, out=up)
     sig = _mirror_upper(logits)
-    sp_pos = sp_all[rows, cols]
-    correction = t * ((pos_weight - 1.0) * sp_pos - pos_weight * x_pos)
-    total = float(sp_all.sum()) + float(correction.sum())
-    del sp_all
+    total += float(correction.sum())
     c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
                        cols, targets.indptr), shape=targets.shape)
     dz = matmul(sig, z_in) * (2.0 / size) + (c + c.T) @ z_in

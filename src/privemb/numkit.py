@@ -70,22 +70,41 @@ def relu_backward(cotangent: np.ndarray, x: np.ndarray) -> np.ndarray:
     return cotangent * (x > 0.0)
 
 
+def _exp_neg_abs(x, out=None):
+    """exp(-|x|), with -|x| taken as min(x, -x) so a NaN keeps its sign."""
+    t = np.negative(x, out=out)
+    np.minimum(x, t, out=t)
+    return np.exp(t, out=t)
+
+
 def sigmoid(x):
-    """Numerically stable logistic function, exact for |x| up to 1e3 and beyond."""
+    """Numerically stable logistic function: with e = exp(-|x|) it is
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, so exp never overflows."""
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = _exp_neg_abs(arr)
+    out = np.where(arr >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return float(out[0]) if scalar else out
 
 
-def softplus(x):
-    """log(1 + exp(x)) without overflow."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
+def softplus(x, out=None, scratch=None):
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), without overflow:
+    +inf stays inf, -inf gives 0 and NaN propagates.
+
+    ``out`` (which may be ``x`` itself) and ``scratch`` are optional float64
+    arrays of x's shape; given both, the call allocates nothing.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    t = _exp_neg_abs(x, out=scratch)
+    np.log1p(t, out=t)
+    out = np.maximum(x, 0.0, out=out)
+    out += t
+    return float(out[0]) if scalar else out
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:

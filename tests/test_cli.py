@@ -300,6 +300,24 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "input error" in r.stderr and "labeled nodes" in r.stderr
 
+    def test_huge_negative_count_is_one_config_line(self, tmp_path):
+        # 10**11 negatives per positive would draw terabytes of pairs
+        (tmp_path / "edges.tsv").write_text("0\t1\n1\t2\n2\t3\n")
+        (tmp_path / "attributes.csv").write_text(
+            "node_id,private,utility\n0,1,1\n1,2,2\n2,1,2\n3,2,1\n")
+        config = write_config(tmp_path, synth=None, data={
+            "edges": str(tmp_path / "edges.tsv"),
+            "attributes": str(tmp_path / "attributes.csv"),
+            "schema": {"private": {"classes": 2, "role": "private"},
+                       "utility": {"classes": 2, "role": "utility"}}},
+            model={"T": 2, "edge_holdout": 0.4, "link_loss": "sampled",
+                   "negatives_per_positive": 100000000000})
+        r = run_cli("train", "--config", str(config))
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("config error:"), r.stderr
+        assert "negatives_per_positive" in r.stderr
+
     def test_lambda_on_gae_is_config_error(self, tmp_path):
         config = write_config(tmp_path, model={"lambda": 1.0})
         r = run_cli("train", "--config", str(config))

@@ -10,6 +10,8 @@ from privemb.graphcore import (
     AttributeSchema,
     Graph,
     InputError,
+    _bulk_edges,
+    _scan_edges,
     adjacency_with_self_loops,
     build_features,
     canonical_edges,
@@ -84,6 +86,56 @@ def test_loader_header_and_columns():
 def test_loader_malformed_edge_line():
     with pytest.raises(InputError, match="two tab-separated"):
         _load("10 11\n", ATTRS)
+
+
+_SPACES = st.sampled_from(["", " ", "  "])
+_KNOWN = st.sampled_from(["10", "11", "12", "+10", "012"])
+
+
+@st.composite
+def _edge_file_line(draw):
+    """(line, bulk): one edge-file line without its terminator, and whether
+    the bulk reader must take it: an edge of known ids, a comment or a
+    blank line, with spaces around."""
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "odd"]))
+    if kind == "edge":
+        a, b = draw(_KNOWN), draw(_KNOWN)
+        return draw(_SPACES) + a + draw(_SPACES) + "\t" + draw(_SPACES) + b + draw(_SPACES), True
+    if kind == "comment":
+        return draw(_SPACES) + "#" + draw(st.text(st.characters(exclude_characters="\n"),
+                                                  max_size=8)), True
+    if kind == "blank":
+        return draw(_SPACES), True
+    odd = draw(st.sampled_from([
+        "10\t99", "-10\t11", "10\t11\t12", "10\t11 # inline", "1_0\t11",
+        "\u0661\u0660\t11", "10\t11\t", "\t10\t11", "10 11", "10\t", "+-10\t11",
+        "10\t1e1", "\t", "10\t11\r", "99999999999999999999\t10"]))
+    return odd, False
+
+
+@given(st.lists(_edge_file_line(), max_size=12), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_bulk_edge_reader_matches_line_scan(lines, newline, last_newline):
+    text = newline.join(line for line, _ in lines) + (newline if last_newline else "")
+    file_lines = list(io.StringIO(text))
+    index = {10: 0, 11: 1, 12: 2}
+    try:
+        want = canonical_edges(_scan_edges(file_lines, index), 3)
+    except InputError as e:
+        want = str(e)
+    bulk = _bulk_edges(file_lines, [10, 11, 12])
+    if all(strict for _, strict in lines):
+        assert bulk is not None
+    if bulk is not None:
+        assert np.array_equal(bulk, np.array(_scan_edges(file_lines, index)).reshape(-1, 2))
+    try:
+        got = _load(text, ATTRS).edges
+    except InputError as e:
+        got = str(e)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_schema_validation():

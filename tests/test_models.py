@@ -1,6 +1,7 @@
 """Loss oracles and wiring checks for the model variants."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from privemb.models import (
     obfuscator_losses,
     release_embedding,
 )
-from privemb.numkit import Rng, ShapeError, bce_with_logits, softmax_cross_entropy
+from privemb.numkit import Rng, ShapeError, bce_with_logits, softmax_cross_entropy, softplus
 from privemb.training import TrainConfig, prepare_batch, split_edges
 
 LN2 = math.log(2.0)
@@ -184,30 +185,51 @@ class TestLinkLoss:
 
     @pytest.mark.parametrize("n,d", [(500, 66), (129, 5), (1, 3)])
     def test_exact_matches_full_array_reference(self, n, d):
-        # the loss as it was before the upper-triangle blocks, over the full
-        # array; the targets are not symmetric
+        # the loss over the full array, before the upper-triangle blocks; the
+        # targets are not symmetric. The gradient is bitwise that of the
+        # numkit softplus; the loss, summed by blocks, is within 1e-15 of the
+        # full-array sums with numkit's and with np.logaddexp's softplus
         rng = Rng(n + d)
         z = rng.randn(n, d) * 0.5
         targets = sp.csr_matrix((rng.random((n, n)) < 0.02).astype(np.float64))
         targets.setdiag(1.0)
         targets = sp.csr_matrix(targets)
         pos_weight = 6.5
-        logits = z @ z.T
-        size = float(logits.size)
-        rows = np.repeat(np.arange(n), np.diff(targets.indptr))
-        cols = targets.indices
-        t = targets.data
-        x_pos = logits[rows, cols]
-        sp_all = np.logaddexp(0.0, logits)
-        correction = t * ((pos_weight - 1.0) * sp_all[rows, cols] - pos_weight * x_pos)
-        want = (float(sp_all.sum()) + float(correction.sum())) / size
-        sig = np.exp(logits - sp_all)
-        c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
-                           cols, targets.indptr), shape=targets.shape)
-        want_dz = (sig @ z) * (2.0 / size) + (c + c.T) @ z
         loss, dz = link_loss_exact(z, targets, pos_weight)
-        assert loss == want
-        assert np.array_equal(dz, want_dz)
+        for kernel in (softplus, lambda x: np.logaddexp(0.0, x)):
+            logits = z @ z.T
+            size = float(logits.size)
+            rows = np.repeat(np.arange(n), np.diff(targets.indptr))
+            cols = targets.indices
+            t = targets.data
+            x_pos = logits[rows, cols]
+            sp_all = kernel(logits)
+            correction = t * ((pos_weight - 1.0) * sp_all[rows, cols] - pos_weight * x_pos)
+            want = (float(sp_all.sum()) + float(correction.sum())) / size
+            assert abs(loss - want) <= 1e-15 * abs(want)
+            if kernel is softplus:
+                sig = np.exp(logits - sp_all)
+                c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
+                                   cols, targets.indptr), shape=targets.shape)
+                want_dz = (sig @ z) * (2.0 / size) + (c + c.T) @ z
+                assert np.array_equal(dz, want_dz)
+
+    def test_exact_holds_one_dense_array(self):
+        # the logits turn into the sigmoid in place; only two blocks of
+        # _TRI_ROWS rows come on top of the n x n array
+        n = 1200
+        rng = Rng(3)
+        z = rng.randn(n, 16) * 0.3
+        targets = sp.csr_matrix((rng.random((n, n)) < 0.01).astype(np.float64))
+        targets.setdiag(1.0)
+        targets = sp.csr_matrix(targets)
+        tracemalloc.start()
+        try:
+            link_loss_exact(z, targets, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     def test_sampled_matches_scatter_reference(self, monkeypatch):
         # several pair chunks, and repeated pairs that must accumulate

@@ -69,11 +69,70 @@ def test_sigmoid_values_and_extremes():
     assert sigmoid(-700.0) < 1e-300 or sigmoid(-700.0) < 1e-200
 
 
+def _masked_sigmoid(x):
+    """The logistic function as it was computed before the branch-free form:
+    a boolean-mask gather and scatter per sign."""
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return float(out[0]) if scalar else out
+
+
+_EDGE_VALUES = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308,
+                np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.floats(-40.0, 40.0), st.sampled_from(_EDGE_VALUES)),
+                min_size=1, max_size=40))
+def test_sigmoid_is_bitwise_the_masked_form(values):
+    x = np.array(values + _EDGE_VALUES)
+    with np.errstate(all="ignore"):
+        want = _masked_sigmoid(x)
+        got = sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for v in values[:3] + _EDGE_VALUES:
+        with np.errstate(all="ignore"):
+            s = sigmoid(v)
+            ref = _masked_sigmoid(v)
+        assert type(s) is float
+        assert np.array([s]).view(np.uint64)[0] == np.array([ref]).view(np.uint64)[0]
+
+
 def test_softplus_known_values():
     assert_close(softplus(0.0), math.log(2.0))
     assert_close(softplus(-2.0), math.log(1 + math.exp(-2.0)))
     # linear regime for large inputs
     assert_close(softplus(800.0), 800.0, tol=1e-9)
+    assert type(softplus(0.0)) is float
+
+
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-40.0, 40.0),
+                          st.floats(-1e-6, 1e-6)), min_size=1, max_size=60))
+def test_softplus_kernel_is_within_4_eps_of_logaddexp(values):
+    x = np.array(values)
+    ref = np.logaddexp(0.0, x)
+    got = softplus(x)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(1.0, np.abs(ref)))
+    # out= the input itself and a scratch array give the same values
+    inplace = x.copy()
+    softplus(inplace, out=inplace, scratch=np.empty_like(x))
+    assert np.array_equal(inplace, got)
+
+
+def test_softplus_special_values():
+    got = softplus(np.array([np.inf, -np.inf, np.nan, -1e308, 1e308]))
+    assert got[0] == np.inf
+    assert got[1] == 0.0
+    assert np.isnan(got[2])
+    assert got[3] == 0.0 and got[4] == 1e308
+    assert math.isnan(softplus(float("nan")))
 
 
 def test_bce_known_values():
