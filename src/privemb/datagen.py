@@ -16,6 +16,10 @@ import numpy as np
 from .graphcore import AttributeSchema, Graph
 from .numkit import Rng, derive_seed
 
+# synth_graph draws its edges a block of rows at a time, at most this many
+# node pairs (rows x n) per block; a 500-node graph is one block
+_EDGE_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -67,11 +71,17 @@ def synth_graph(params: SynthParams):
     private = np.array([(i % m_p) + 1 for i in range(n)], dtype=np.int64)
     private = private[rng_priv.permutation(n)]
 
+    # one uniform per upper-triangle pair in row-major order, drawn a block
+    # of rows at a time so that memory stays O(n + m)
     rng_edges = Rng(derive_seed(params.seed, "synth/edges"))
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(private[iu] == private[ju], params.p_in, params.p_out)
-    keep = rng_edges.random(iu.size) < prob
-    edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+    step, blocks = max(1, _EDGE_BLOCK // n), []
+    for s in range(0, n - 1, step):
+        iu, ju = np.nonzero(np.arange(n) > np.arange(s, min(s + step, n - 1))[:, None])
+        iu += s
+        prob = np.where(private[iu] == private[ju], params.p_in, params.p_out)
+        keep = rng_edges.random(iu.size) < prob
+        blocks.append(np.column_stack([iu[keep], ju[keep]]))
+    edges = np.concatenate(blocks)
 
     rng_util = Rng(derive_seed(params.seed, "synth/utility"))
     derived = ((private - 1) % m_u) + 1

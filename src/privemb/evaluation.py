@@ -373,7 +373,7 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     if free < len(train_pos):
         raise InputError(f"link evaluation needs {len(train_pos)} training non-edges "
                          f"but only {free} node pairs are neither edges nor held out")
-    keys = sample_non_edges(n, set((taken[:, 0] * n + taken[:, 1]).tolist()), len(train_pos),
+    keys = sample_non_edges(n, taken[:, 0] * n + taken[:, 1], len(train_pos),
                             Rng(derive_seed(seed, "link/negatives")))
     train_neg = np.stack(np.divmod(keys, n), axis=1)
 

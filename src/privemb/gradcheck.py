@@ -150,22 +150,22 @@ def _loss_cases(seed):
     cases.append(("loss/discriminator", disc_fn,
                   {k: v.copy() for k, v in dstate.items()}))
 
-    lap, feats = batch.laplacian, batch.features
+    lap, lx = batch.laplacian, batch.laplacian_features()
     enc = {"W0": state.W0.copy(), "W1": state.W1.copy()}
 
     def disc_chain_fn(p):
-        z, cache = encoder_forward(lap, feats, p["W0"], p["W1"])
+        z, cache = encoder_forward(lap, lx, p["W0"], p["W1"])
         loss, _, dfake = disc_loss(real, z, state.Wd1, state.bd1, state.Wd2, state.bd2)
-        dw0, dw1 = encoder_backward(dfake, cache, lap, feats, p["W1"])
+        dw0, dw1 = encoder_backward(dfake, cache, lap, lx, p["W1"])
         return loss, {"W0": dw0, "W1": dw1}
 
     cases.append(("loss/discriminator_encoder_chain", disc_chain_fn,
                   {k: v.copy() for k, v in enc.items()}))
 
     def fool_chain_fn(p):
-        z, cache = encoder_forward(lap, feats, p["W0"], p["W1"])
+        z, cache = encoder_forward(lap, lx, p["W0"], p["W1"])
         loss, dfake = gen_fool_loss(z, state.Wd1, state.bd1, state.Wd2, state.bd2)
-        dw0, dw1 = encoder_backward(dfake, cache, lap, feats, p["W1"])
+        dw0, dw1 = encoder_backward(dfake, cache, lap, lx, p["W1"])
         return loss, {"W0": dw0, "W1": dw1}
 
     cases.append(("loss/generator_fool_chain", fool_chain_fn,

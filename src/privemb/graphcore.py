@@ -396,24 +396,26 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
     n = g.n
     if k > n * (n - 1) // 2 - m:
         raise InputError("not enough non-edges to mirror the held-out set")
-    keys = np.sort(sample_non_edges(n, set((g.edges[:, 0] * n + g.edges[:, 1]).tolist()), k, rng))
+    keys = np.sort(sample_non_edges(n, g.edges[:, 0] * n + g.edges[:, 1], k, rng))
     heldout_neg = np.stack(np.divmod(keys, n), axis=1)
     return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg, seed=seed)
 
 
-def sample_non_edges(n: int, taken: set, count: int, rng: Rng) -> np.ndarray:
-    """``count`` distinct u*n+v keys (u < v) outside ``taken``, in draw
-    order, two scalar draws per candidate; each one accepted joins ``taken``.
-    The caller checks that enough free pairs exist."""
-    keys = []
-    while len(keys) < count:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        key = u * n + v if u < v else v * n + u
-        if key in taken:
-            continue
-        taken.add(key)
-        keys.append(key)
-    return np.array(keys, dtype=np.int64)
+def sample_non_edges(n: int, taken, count: int, rng: Rng) -> np.ndarray:
+    """``count`` distinct u*n+v keys (u < v) outside the keys ``taken``, in
+    draw order. Candidates are drawn in (k, 2) blocks, the same values in
+    the same order as two scalar draws each, and accepted unless a self
+    pair, taken or accepted before; a block may draw past the last key
+    accepted. The caller checks that enough free pairs exist."""
+    # sorted, and a sentinel above every key keeps each lookup in range
+    taken = np.sort(np.append(np.asarray(taken, dtype=np.int64), n * n))
+    keys = np.empty(0, dtype=np.int64)
+    while keys.size < count:
+        u, v = rng.integers(0, n, size=((count - keys.size) * 5 // 4 + 64, 2)).T
+        cand = (np.minimum(u, v) * np.int64(n) + np.maximum(u, v))[u != v]
+        cand = cand[taken[np.searchsorted(taken, cand)] != cand]
+        # the first occurrence of each, in draw order
+        cand = cand[np.sort(np.unique(cand, return_index=True)[1])]
+        keys = np.concatenate([keys, cand])
+        taken = np.sort(np.concatenate([taken, cand]))
+    return keys[:count]

@@ -156,6 +156,7 @@ class Batch:
     _pos_pairs: tuple = field(default=None, repr=False)
     _pos_keys: np.ndarray = field(default=None, repr=False)
     _pos_filter: tuple = field(default=None, repr=False)
+    _lap_features: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -194,6 +195,12 @@ class Batch:
             self._pos_filter = (table, bits)
         return self._pos_filter
 
+    def laplacian_features(self) -> np.ndarray:
+        """L @ X, the encoder's first propagation, which no weight enters."""
+        if self._lap_features is None:
+            self._lap_features = spmm(self.laplacian, self.features)
+        return self._lap_features
+
 
 def _key_slots(keys, bits: int) -> np.ndarray:
     """Multiplicative (Fibonacci) hash of int64 keys to ``bits``-bit slots,
@@ -202,20 +209,22 @@ def _key_slots(keys, bits: int) -> np.ndarray:
     return mixed >> np.uint64(64 - bits)
 
 
-def encoder_forward(lap, x, w0, w1):
-    pre = spmm(lap, matmul(x, w0))
+def encoder_forward(lap, lx, w0, w1):
+    """Two graph convolutions, Z = L relu(L X W0) W1, from ``lx`` = L @ X."""
+    pre = matmul(lx, w0)
     hidden = relu(pre)
     z = spmm(lap, matmul(hidden, w1))
     return z, (pre, hidden)
 
 
-def encoder_backward(dz, cache, lap, x, w1):
+def encoder_backward(dz, cache, lap, lx, w1):
     pre, hidden = cache
     dmix = spmm(lap, dz)
     dw1 = matmul(hidden.T, dmix)
     dhidden = matmul(dmix, w1.T)
     dpre = relu_backward(dhidden, pre)
-    dw0 = matmul(x.T, spmm(lap, dpre))
+    # X.T @ L @ dpre, with L symmetric (normalize_adjacency builds it so)
+    dw0 = matmul(lx.T, dpre)
     return dw0, dw1
 
 
@@ -315,21 +324,29 @@ def link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total)
     """Balanced link loss over all positives plus sampled negatives.
 
     Scaled so that sampling every negative exactly once reproduces the
-    exact-mode value and gradient.
+    exact-mode value and gradient. Each side works in sorted i*n+j key
+    order: the logits read their rows in sequence, the loss sums in that
+    order, and the logit gradients G form a CSR matrix without a sort, so
+    that dz = G @ z_in + G.T @ z_in.
     """
     n = z_in.shape[0]
     scale = n_neg_total / float(n * n)
-    x_pos = _pair_logits(z_in, pos_rows, pos_cols)
-    x_neg = _pair_logits(z_in, neg_rows, neg_cols)
-    loss = scale * (float(softplus(-x_pos).mean()) + float(softplus(x_neg).mean()))
-    gp = scale * (sigmoid(x_pos) - 1.0) / x_pos.size
-    gn = scale * sigmoid(x_neg) / x_neg.size
-    # logit gradients as one sparse matrix G (repeated pairs summed), so that
-    # dz = (G + G.T) @ z_in
-    grad = sp.csr_matrix((np.concatenate([gp, gn]),
-                          (np.concatenate([pos_rows, neg_rows]),
-                           np.concatenate([pos_cols, neg_cols]))), shape=(n, n))
-    return float(loss), (grad + grad.T) @ z_in
+    loss = 0.0
+    dz = np.zeros(z_in.shape)
+    for rows, cols, target in ((pos_rows, pos_cols, 1.0), (neg_rows, neg_cols, 0.0)):
+        rows, cols = np.divmod(np.sort(np.asarray(rows, dtype=np.int64) * n + cols), n)
+        x = _pair_logits(z_in, rows, cols)
+        g = scale * (sigmoid(x) - target) / x.size
+        # softplus(-x) against a positive target, softplus(x) against zero
+        x *= 1.0 - 2.0 * target
+        loss += float(softplus(x, out=x).mean())
+        # G straight from the sorted pairs; a repeated pair stays as repeated
+        # entries, which the products sum
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        grad = sp.csr_matrix((g, cols, indptr), shape=(n, n))
+        dz += grad @ z_in
+        dz += grad.T @ z_in
+    return scale * loss, dz
 
 
 def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
@@ -468,7 +485,7 @@ def release_from_code(state: ModelState, z_code) -> np.ndarray:
 
 def release_embedding(state: ModelState, batch: Batch):
     """Forward pass only: returns (code Z', released embedding Z)."""
-    z_code, _ = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
+    z_code, _ = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
     return z_code, release_from_code(state, z_code)
 
 
@@ -490,7 +507,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     not computed), l_recon, and l_obf.
     """
     if forward is None:
-        forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
+        forward = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
     z_code, cache = forward
     z = release_from_code(state, z_code)
     concat = VARIANT_SPECS[state.variant].disentangles
@@ -525,7 +542,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     else:
         dz_code = dz
     grads["W0"], grads["W1"] = encoder_backward(dz_code, cache, batch.laplacian,
-                                                batch.features, state.W1)
+                                                batch.laplacian_features(), state.W1)
     parts = {
         "l_link": l_link,
         "l_attr": float(sum(attr_values)),

@@ -212,7 +212,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         # The attacker and discriminator steps leave the encoder alone, so
         # one forward before the obfuscator step and one after it serve
         # every step of the iteration.
-        forward = encoder_forward(batch.laplacian, batch.features, state.W0, state.W1)
+        forward = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
         if spec.purges:
             z = release_from_code(state, forward[0])
             for _ in range(cfg.k_att):
@@ -233,7 +233,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         opt_obf.step(state.obf_params(), grads)
 
         if spec.disentangles:
-            z_code, (_, hidden) = encoder_forward(batch.laplacian, batch.features,
+            z_code, (_, hidden) = encoder_forward(batch.laplacian, batch.laplacian_features(),
                                                   state.W0, state.W1)
             for _ in range(cfg.k_dis):
                 prior = rng_prior.randn(g.n, z_code.shape[1])

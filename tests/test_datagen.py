@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from privemb import datagen
 from privemb.datagen import SynthParams, synth_graph, synth_schema
 from privemb.evaluation import ClassifierSpec, attack_eval
 from privemb.graphcore import load_graph, save_graph
@@ -86,6 +87,20 @@ class TestStructure:
     def test_flip_changes_class(self):
         g, _ = synth_graph(SynthParams(n=2000, flip_rate=1.0, seed=8))
         assert np.all(g.attributes["feature"] != g.attributes["utility"])
+
+
+@pytest.mark.parametrize("block", [1, 150, 1000])
+def test_edge_blocks_do_not_change_the_graph(monkeypatch, block):
+    # one uniform per pair in row-major order whatever the block of rows,
+    # so the same edges byte for byte; at the default block a 61-node graph,
+    # like a 500-node one, is a single block
+    params = SynthParams(n=61, seed=5)
+    assert datagen._EDGE_BLOCK // 500 >= 499
+    want, _ = synth_graph(params)
+    monkeypatch.setattr(datagen, "_EDGE_BLOCK", block)
+    got, _ = synth_graph(params)
+    assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
+    assert got.edges.tobytes() == want.edges.tobytes()
 
 
 def test_file_roundtrip(tmp_path):

@@ -18,6 +18,7 @@ from privemb.graphcore import (
     load_graph,
     normalize_adjacency,
     onehot_labels,
+    sample_non_edges,
     save_graph,
     split_edges,
     split_nodes,
@@ -206,6 +207,17 @@ def test_laplacian_matches_dense_oracle(small_synth):
     assert_close(lap, oracle, tol=1e-12)
 
 
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_laplacian_is_bitwise_symmetric(n, density, seed):
+    # the encoder's backward pass uses L.T == L (models.encoder_backward)
+    rng = np.random.default_rng(seed)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    g = Graph(n=n, edges=edges, attributes={})
+    for subset in (edges, edges[rng.random(len(edges)) < 0.5]):
+        lap = normalize_adjacency(g, subset).toarray()
+        assert np.array_equal(lap, lap.T)
+
+
 def test_laplacian_rejects_foreign_edges():
     g = Graph(n=3, edges=[(0, 1)],
               attributes={"status": [1, 1, 2], "dept": [1, 2, 3]})
@@ -267,6 +279,21 @@ def test_split_nodes_sizes_and_disjoint():
     # deterministic
     s2 = split_nodes(mask, 0.5, seed=4)
     assert np.array_equal(s.train, s2.train)
+
+
+@given(labeled=st.lists(st.integers(0, 10**6), min_size=2, max_size=80, unique=True),
+       fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_split_nodes_is_a_partition(labeled, fraction, seed):
+    mask = np.array(labeled, dtype=np.int64)
+    k = int(round(fraction * mask.size))
+    if k in (0, mask.size):
+        with pytest.raises(ValueError):
+            split_nodes(mask, fraction, seed)
+        return
+    s = split_nodes(mask, fraction, seed)
+    assert s.train.size == k and s.test.size == mask.size - k
+    assert np.array_equal(np.sort(np.concatenate([s.train, s.test])), np.sort(mask))
+    assert np.all(np.diff(s.train) > 0) and np.all(np.diff(s.test) > 0)
 
 
 def test_split_nodes_rejects_degenerate():
@@ -332,6 +359,36 @@ def _split_edges_reference(g, holdout, seed):
         seen.add(e)
         negatives.append(e)
     return sorted(negatives)
+
+
+def _non_edges_reference(n, taken, count, rng):
+    """The non-edge keys drawn two scalars per candidate, against a set."""
+    taken = set(taken)
+    keys = []
+    while len(keys) < count:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        key = min(u, v) * n + max(u, v)
+        if u != v and key not in taken:
+            taken.add(key)
+            keys.append(key)
+    return keys
+
+
+@given(n=st.integers(2, 12), density=st.floats(0.0, 0.95), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_non_edges_matches_scalar_draws(n, density, share, seed):
+    # drawing up to every free pair makes repeats within a block common
+    rng = np.random.default_rng(seed)
+    pairs = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    taken = rng.permutation(pairs[:, 0] * n + pairs[:, 1])
+    free = n * (n - 1) // 2 - taken.size
+    if not free:
+        return
+    count = max(1, int(share * free))
+    got = sample_non_edges(n, taken, count, Rng(seed))
+    assert got.dtype == np.int64
+    assert got.tolist() == _non_edges_reference(n, taken.tolist(), count, Rng(seed))
 
 
 def _link_negatives_reference(n, split, seed):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from privemb import models
 from privemb.datagen import synth_graph
-from privemb.graphcore import adjacency_with_self_loops
+from privemb.graphcore import Graph, adjacency_with_self_loops, normalize_adjacency
 from privemb.models import (
     Batch,
     ModelState,
@@ -21,6 +21,8 @@ from privemb.models import (
     concat_privacy,
     decode_links,
     disc_loss,
+    encoder_backward,
+    encoder_forward,
     gen_fool_loss,
     init_state,
     link_loss,
@@ -29,7 +31,16 @@ from privemb.models import (
     obfuscator_losses,
     release_embedding,
 )
-from privemb.numkit import Rng, ShapeError, bce_with_logits, softmax_cross_entropy, softplus
+from privemb.numkit import (
+    Rng,
+    ShapeError,
+    bce_with_logits,
+    matmul,
+    relu_backward,
+    softmax_cross_entropy,
+    softplus,
+    spmm,
+)
 from privemb.training import TrainConfig, prepare_batch, split_edges
 
 LN2 = math.log(2.0)
@@ -272,6 +283,27 @@ class TestLinkLoss:
         assert_close(loss_s, loss_e, tol=1e-10)
         assert np.allclose(dz_s, dz_e, atol=1e-10)
 
+    @given(n=st.integers(2, 14), density=st.floats(0.0, 0.9), d=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_negative_once_in_any_order_is_exact(self, n, density, d, seed):
+        # the sampled loss sorts each side by key, so the order of the pairs
+        # it is given must not matter
+        rng = np.random.default_rng(seed)
+        edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+        batch = _target_batch(n, edges)
+        pos = np.argwhere(batch.link_targets.toarray() != 0.0)
+        neg = np.argwhere(batch.link_targets.toarray() == 0.0)
+        if not neg.size:
+            return
+        pos = pos[rng.permutation(len(pos))]
+        neg = neg[rng.permutation(len(neg))]
+        z = rng.standard_normal((n, d))
+        loss_e, dz_e = link_loss(z, batch, mode="exact")
+        loss_s, dz_s = models.link_loss_sampled(z, pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1],
+                                                len(neg))
+        assert abs(loss_s - loss_e) <= 1e-12 * abs(loss_e)
+        assert np.allclose(dz_s, dz_e, rtol=1e-10, atol=1e-14)
+
     def test_sampled_needs_rng_or_pairs(self):
         batch = _tiny_batch()
         with pytest.raises(ValueError):
@@ -292,6 +324,33 @@ class TestLinkLoss:
         want = models._pair_logits(z, rows, cols)
         monkeypatch.setattr(models, "_PAIR_CHUNK", chunk)
         assert np.array_equal(models._pair_logits(z, rows, cols), want)
+
+
+# ---------------------------------------------------------------- encoder
+
+
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), width=st.integers(1, 7),
+       hidden=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_encoder_dw0_from_cached_lx_matches_unfactored(n, density, width, hidden, seed):
+    # dW0 = X.T @ L @ dpre is taken as (L @ X).T @ dpre, which holds only
+    # because normalize_adjacency's L is symmetric bit for bit; the two
+    # products round apart by far less than the scale |X|.T |L| |dpre|
+    rng = np.random.default_rng(seed)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    lap = normalize_adjacency(Graph(n=n, edges=edges, attributes={}))
+    assert (lap != lap.T).nnz == 0
+    x = rng.standard_normal((n, width))
+    w0 = rng.standard_normal((width, hidden))
+    w1 = rng.standard_normal((hidden, 3))
+    dz = rng.standard_normal((n, 3))
+    lx = spmm(lap, x)
+    z, (pre, hid) = encoder_forward(lap, lx, w0, w1)
+    assert np.allclose(z, lap @ np.maximum(lap @ (x @ w0), 0.0) @ w1, rtol=1e-12, atol=1e-12)
+    dw0, _ = encoder_backward(dz, (pre, hid), lap, lx, w1)
+    dpre = relu_backward(matmul(spmm(lap, dz), w1.T), pre)
+    want = x.T @ spmm(lap, dpre)
+    scale = np.abs(x).T @ (abs(lap) @ np.abs(dpre))
+    assert np.all(np.abs(dw0 - want) <= 1e-15 * scale)
 
 
 # ---------------------------------------------------------------- negatives
