@@ -237,71 +237,65 @@ def concat_privacy(z, privacy_onehot) -> np.ndarray:
     return np.hstack([z, y])
 
 
-def decode_links(z_in) -> np.ndarray:
-    """Inner-product link logits."""
-    z_in = np.asarray(z_in, dtype=np.float64)
-    return z_in @ z_in.T
-
-
 # rows per block of the upper triangle in the exact link loss
 _TRI_ROWS = 64
-
-
-def _mirror_upper(a):
-    """Copy the upper triangle of the square ``a`` onto its lower triangle,
-    a block of _TRI_ROWS columns at a time; returns ``a``."""
-    for s in range(0, a.shape[0], _TRI_ROWS):
-        e = s + _TRI_ROWS
-        a[e:, s:e] = a[s:e, e:].T
-    return a
 
 
 def link_loss_exact(z_in, link_targets, pos_weight):
     """Weighted BCE of every inner-product logit against the targets.
 
     Equals ``bce_with_logits(z_in @ z_in.T, targets, pos_weight)`` with
-    dz = (g + g.T) @ z_in, but never builds dense targets: with
+    dz = (g + g.T) @ z_in, but never builds dense targets or logits: with
     softplus(-x) = softplus(x) - x the loss is one dense softplus plus a
     correction on the target's nonzeros, and the logit gradient is the
     symmetric sigmoid(X) / n^2 plus a sparse matrix C on those nonzeros.
-    ``link_targets`` may be sparse or dense. Besides the n x n logits, which
-    become the sigmoid in place, it holds two blocks of _TRI_ROWS x n.
+    The logits are streamed a block of _TRI_ROWS rows of the upper triangle
+    at a time, so the call holds three blocks of _TRI_ROWS x n besides
+    O(nnz) index arrays. ``link_targets`` may be sparse or dense.
     """
     if not pos_weight > 0:
         raise ValueError("pos_weight must be positive")
+    z_in = np.asarray(z_in, dtype=np.float64)
     targets = sp.csr_matrix(link_targets, dtype=np.float64)
-    logits = decode_links(z_in)
-    if targets.shape != logits.shape:
-        raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
-    n = logits.shape[0]
-    size = float(logits.size)
+    n = z_in.shape[0]
+    if targets.shape != (n, n):
+        raise ShapeError(f"logits {(n, n)} and targets {targets.shape} differ")
+    size = float(n * n)
     rows = np.repeat(np.arange(n), np.diff(targets.indptr))
     cols = targets.indices
     t = targets.data
-    x_pos = logits[rows, cols]
-    # softplus is elementwise, so at the nonzeros it is the kernel on x_pos
-    correction = t * ((pos_weight - 1.0) * softplus(x_pos) - pos_weight * x_pos)
-    # the logits are bitwise symmetric (z z^T is one syrk): each upper row
-    # block adds its square diagonal part once and the rectangle right of it
-    # twice, then turns into sigmoid(x) = exp(x - softplus(x)) in place and
-    # is mirrored, bit for bit
-    sp_buf = np.empty(min(_TRI_ROWS, n) * n)
-    scratch = np.empty_like(sp_buf)
+    # pair (r, c) is read from the block of lo = min(r, c), at (lo - s, hi - s)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.argsort(lo)
+    bounds = np.searchsorted(lo[order], np.arange(0, n + _TRI_ROWS, _TRI_ROWS))
+    x_pos = np.empty(t.size)
+    # each block adds its softplus, the square diagonal part once and the
+    # rectangle right of it twice, then turns into sigmoid(x) =
+    # exp(x - softplus(x)) in place and adds its share of sigmoid @ z_in
+    # to its own rows and, transposed, to the rows below it
+    bufs = [np.empty(min(_TRI_ROWS, n) * n) for _ in range(3)]
+    dz = np.zeros(z_in.shape)
     total = 0.0
-    for s in range(0, n, _TRI_ROWS):
+    for b, s in enumerate(range(0, n, _TRI_ROWS)):
         h = min(_TRI_ROWS, n - s)
-        shape = (h, n - s)
-        up = logits[s:s + h, s:]
-        sp_up = softplus(up, out=sp_buf[:h * (n - s)].reshape(shape),
-                         scratch=scratch[:h * (n - s)].reshape(shape))
-        total += float(sp_up[:, :h].sum()) + 2.0 * float(sp_up[:, h:].sum())
-        np.subtract(up, sp_up, out=up)
-        np.exp(up, out=up)
-    sig = _mirror_upper(logits)
-    total += float(correction.sum())
-    c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
+        x, sp_x, scratch = (buf[:h * (n - s)].reshape(h, n - s) for buf in bufs)
+        np.matmul(z_in[s:s + h], z_in[s:].T, out=x)
+        mine = order[bounds[b]:bounds[b + 1]]
+        x_pos[mine] = x[lo[mine] - s, hi[mine] - s]
+        softplus(x, out=sp_x, scratch=scratch)
+        total += float(sp_x[:, :h].sum()) + 2.0 * float(sp_x[:, h:].sum())
+        np.subtract(x, sp_x, out=x)
+        np.exp(x, out=x)
+        dz[s:s + h] += matmul(x, z_in[s:])
+        dz[s + h:] += matmul(x[:, h:].T, z_in[s:s + h])
+    # softplus and the sigmoid are elementwise, so at the nonzeros they are
+    # the kernels on x_pos
+    sp_pos = softplus(x_pos)
+    total += float((t * ((pos_weight - 1.0) * sp_pos - pos_weight * x_pos)).sum())
+    c = sp.csr_matrix((t * ((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size,
                        cols, targets.indptr), shape=targets.shape)
-    dz = matmul(sig, z_in) * (2.0 / size) + (c + c.T) @ z_in
+    dz *= 2.0 / size
+    dz += (c + c.T) @ z_in
     return total / size, dz
 
 

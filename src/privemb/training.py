@@ -35,11 +35,9 @@ from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
-# bytes of the largest array the link loss may allocate, checked before
-# training starts: exact mode's dense n x n float64 logits (8 n^2 bytes) or
-# the (count, 2) int64 negative pairs that sampled mode draws per iteration
-# (16 bytes for each of negs_per_pos x nnz pairs); 1 GiB allows exact mode
-# up to n = 11585
+# bytes of the (count, 2) int64 negative pairs that sampled mode draws per
+# iteration (16 bytes for each of negs_per_pos x nnz pairs), checked before
+# training starts
 LINK_MEMORY_BUDGET = 1 << 30
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
@@ -149,15 +147,13 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     )
 
 
-def _check_link_memory(mode: str, n: int, nnz: int, negs_per_pos: int) -> None:
-    """Refuse a link loss whose largest array would exceed LINK_MEMORY_BUDGET."""
-    if mode == "exact":
-        need, fix = 8 * n * n, "use link_loss 'sampled'"
-    else:
-        need, fix = 16 * negs_per_pos * nnz, "lower negatives_per_positive"
+def _check_link_memory(n: int, nnz: int, negs_per_pos: int) -> None:
+    """Refuse negative pairs that would exceed LINK_MEMORY_BUDGET."""
+    need = 16 * negs_per_pos * nnz
     if need > LINK_MEMORY_BUDGET:
-        raise ConfigError(f"the {mode} link loss needs {need / 2**20:.0f} MiB for one array "
-                          f"at n={n}, over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; {fix}")
+        raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for one array "
+                          f"at n={n}, over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
+                          "lower negatives_per_positive")
 
 
 def _require_finite(value: float, component: str, iteration: int) -> float:
@@ -189,7 +185,8 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     mode = cfg.link_mode
     if mode == "auto":
         mode = "sampled" if g.n > SAMPLED_MODE_THRESHOLD else "exact"
-    _check_link_memory(mode, g.n, batch.link_targets.nnz, cfg.negs_per_pos)
+    if mode == "sampled":
+        _check_link_memory(g.n, batch.link_targets.nnz, cfg.negs_per_pos)
     rng_neg = Rng(derive_seed(cfg.seed, "negatives"))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 

@@ -19,7 +19,6 @@ from privemb.models import (
     attacker_loss,
     attr_loss,
     concat_privacy,
-    decode_links,
     disc_loss,
     encoder_backward,
     encoder_forward,
@@ -135,31 +134,6 @@ class TestStateWiring:
 # ---------------------------------------------------------------- decoder
 
 
-class TestDecodeLinks:
-    def test_orthonormal_rows(self):
-        logits = decode_links(np.eye(3))
-        assert np.array_equal(logits, np.eye(3))
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        assert_close(probs[0, 0], 0.7310585786300049, tol=1e-12)
-        assert_close(probs[0, 1], 0.5, tol=1e-15)
-
-    def test_zero_input(self):
-        assert np.all(decode_links(np.zeros((5, 3))) == 0.0)
-
-    def test_symmetry(self):
-        z = Rng(3).randn(7, 4)
-        logits = decode_links(z)
-        assert np.allclose(logits, logits.T, atol=1e-12)
-
-    @pytest.mark.parametrize("n,d", [(500, 66), (333, 17)])
-    def test_bitwise_symmetry(self, n, d):
-        # link_loss_exact mirrors its upper triangle, which is exact only
-        # while the product is bitwise symmetric
-        z = Rng(n).randn(n, d)
-        logits = decode_links(z)
-        assert np.array_equal(logits, logits.T)
-
-
 class TestLinkLoss:
     def test_zero_embedding_closed_form(self):
         # all logits 0: every softplus term is ln 2, so the weighted mean is
@@ -197,9 +171,11 @@ class TestLinkLoss:
     @pytest.mark.parametrize("n,d", [(500, 66), (129, 5), (1, 3)])
     def test_exact_matches_full_array_reference(self, n, d):
         # the loss over the full array, before the upper-triangle blocks; the
-        # targets are not symmetric. The gradient is bitwise that of the
-        # numkit softplus; the loss, summed by blocks, is within 1e-15 of the
-        # full-array sums with numkit's and with np.logaddexp's softplus
+        # targets are not symmetric. The loss, summed by blocks, is within
+        # 1e-15 of the full-array sums with numkit's and with np.logaddexp's
+        # softplus; the gradient, summed by blocks, is within a few eps of
+        # the full-array product on the scale of its terms, so a block or a
+        # transposed block left out misses by far more
         rng = Rng(n + d)
         z = rng.randn(n, d) * 0.5
         targets = sp.csr_matrix((rng.random((n, n)) < 0.02).astype(np.float64))
@@ -223,24 +199,26 @@ class TestLinkLoss:
                 c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
                                    cols, targets.indptr), shape=targets.shape)
                 want_dz = (sig @ z) * (2.0 / size) + (c + c.T) @ z
-                assert np.array_equal(dz, want_dz)
+                scale = abs(sig) @ abs(z) * (2.0 / size) + abs(c + c.T) @ abs(z)
+                assert np.all(abs(dz - want_dz) <= 16 * np.finfo(float).eps * scale)
 
-    def test_exact_holds_one_dense_array(self):
-        # the logits turn into the sigmoid in place; only two blocks of
-        # _TRI_ROWS rows come on top of the n x n array
-        n = 1200
-        rng = Rng(3)
-        z = rng.randn(n, 16) * 0.3
-        targets = sp.csr_matrix((rng.random((n, n)) < 0.01).astype(np.float64))
-        targets.setdiag(1.0)
-        targets = sp.csr_matrix(targets)
-        tracemalloc.start()
-        try:
-            link_loss_exact(z, targets, 5.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+    def test_exact_holds_no_dense_array(self):
+        # the logits stream through three blocks of _TRI_ROWS x n; besides
+        # them the call holds only O(nnz) index arrays, so the peak falls
+        # as a share of one n x n float64 array as n grows
+        for n, bound in ((1200, 0.4), (2400, 0.25)):
+            rng = Rng(3)
+            z = rng.randn(n, 16) * 0.3
+            targets = sp.csr_matrix((rng.random((n, n)) < 0.01).astype(np.float64))
+            targets.setdiag(1.0)
+            targets = sp.csr_matrix(targets)
+            tracemalloc.start()
+            try:
+                link_loss_exact(z, targets, 5.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 8 * n * n, n
 
     def test_sampled_matches_scatter_reference(self, monkeypatch):
         # several pair chunks, and repeated pairs that must accumulate
