@@ -20,7 +20,7 @@ from .graphcore import (
 )
 from .models import VARIANTS, ModelState
 from .training import ConfigError, EmbeddingResult, TrainConfig, export_embeddings, load_embeddings, train
-from .evaluation import ClassifierSpec, EvalRecord, accuracy, attack_eval, audit, link_eval, macro_f1, sweep, utility_attr_eval, write_report
+from .evaluation import ClassifierSpec, EvalRecord, accuracy, audit, link_eval, macro_f1, sweep, write_report
 from .datagen import SynthParams, synth_graph
 
 __version__ = "0.1.0"

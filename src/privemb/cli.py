@@ -232,6 +232,7 @@ def cmd_sweep(conf: dict, args) -> int:
     records = sweep(axis, values, g, schema, cfg, spec,
                     repeats=conf["eval"]["sweep_repeats"],
                     fraction=conf["eval"]["fraction"],
+                    utility_fraction=conf["eval"]["utility_fraction"],
                     seed=derive_seed(conf["seed"], f"sweep/{axis}"))
     write_report(records, out / "report.csv")
     _echo_config(conf, out)

@@ -300,32 +300,16 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
     return _summary(method, task, spec, fraction, accs, f1s)
 
 
-def attack_eval(z, labels, mask, num_classes, spec: ClassifierSpec,
-                fraction: float = 0.5, seed: int = 0, repeats: int = 10,
-                method: str = "") -> list:
-    """Simulated inference attack on the private attribute."""
-    return _classification_eval(z, labels, mask, num_classes, spec, fraction,
-                                seed, repeats, method, "privacy")
-
-
-def utility_attr_eval(z, labels, mask, num_classes, spec: ClassifierSpec,
-                      fraction: float = 0.7, seed: int = 0, repeats: int = 10,
-                      method: str = "", name: str = "attr") -> list:
-    """Downstream prediction of one utility attribute."""
-    return _classification_eval(z, labels, mask, num_classes, spec, fraction,
-                                seed, repeats, method, f"utility:{name}")
-
-
-def audit(z, g, schema, specs, labels: dict, seed: int, split: EdgeSplit = None,
-          repeats: int = 10, fraction: float = 0.5, utility_fraction: float = 0.7,
-          method: str = "") -> list:
+def audit(z, g, schema, specs, labels: dict, seed: int, *, repeats: int, fraction: float,
+          utility_fraction: float, split: EdgeSplit = None, method: str = "") -> list:
     """Audit a released embedding with every classifier spec.
 
     ``labels`` maps each task to run ('privacy', 'utility', 'link') to the
     label its seed is derived from; "{name}" in a label stands for the
-    attribute. Records come in the order privacy, each utility attribute,
-    link, and within a task one spec after another. The link task scores
-    ``split``.
+    attribute. ``fraction`` is the attack's knowledge fraction and
+    ``utility_fraction`` the utility tasks' training fraction. Records come
+    in the order privacy, each utility attribute, link, and within a task
+    one spec after another. The link task scores ``split``.
     """
     jobs = [("privacy", "privacy", schema.private_attribute, fraction)]
     jobs += [("utility", f"utility:{name}", name, utility_fraction)
@@ -401,13 +385,14 @@ def write_report(records, path) -> None:
 SWEEP_AXES = ("lambda", "dprime", "fraction")
 
 
-def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec,
-          repeats: int = 5, fraction: float = 0.5, seed: int = 0) -> list:
+def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec, *,
+          repeats: int, fraction: float, utility_fraction: float, seed: int = 0) -> list:
     """Hyperparameter sweeps matching the audit protocol.
 
     'lambda' and 'dprime' retrain per value with ``repeats`` derived seeds
-    and report privacy, utility, and link metrics; 'fraction' trains once
-    and re-attacks at every knowledge fraction.
+    and report privacy, utility, and link metrics at ``fraction`` and
+    ``utility_fraction``; 'fraction' trains once and re-attacks at every
+    knowledge fraction.
     """
     from .training import train  # local import keeps module load acyclic
 
@@ -422,7 +407,7 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec,
         for f in values:
             records.extend(audit(result.Z, g, schema, [spec], {"privacy": f"fraction/{f:g}"},
                                  seed, repeats=repeats, fraction=float(f),
-                                 method=base_cfg.variant))
+                                 utility_fraction=utility_fraction, method=base_cfg.variant))
         return records
 
     labels = {"privacy": "attack", "utility": "utility", "link": "link"}
@@ -438,7 +423,7 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec,
             result = train(g, schema, cfg)
             runs.append(audit(result.Z, g, schema, [spec], labels, run_seed,
                               split=result.edge_split, repeats=1, fraction=fraction,
-                              method=tag))
+                              utility_fraction=utility_fraction, method=tag))
         # one record per task and metric, over the runs
         for rows in zip(*runs):
             means = [row.mean for row in rows]

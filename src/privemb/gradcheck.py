@@ -104,16 +104,16 @@ def _loss_cases(seed):
     z0 = rng.randn(n, 4)
     pw = batch.pos_weight
     def link_exact_fn(p):
-        loss, dz = link_loss_exact(p["z"], batch.link_targets, pw)
+        loss, dz = link_loss_exact(p["z"], batch.link_keys, pw)
         return loss, {"z": dz}
 
     cases.append(("loss/link_exact", link_exact_fn, {"z": z0.copy()}))
 
     neg_rng = Rng(derive_seed(seed, "negs"))
-    neg_pairs = sample_negative_pairs(batch, 3 * batch.positive_pairs()[0].size, neg_rng)
+    neg_keys = sample_negative_pairs(batch, 3 * batch.link_keys.size, neg_rng)
 
     def link_sampled_fn(p):
-        loss, dz = link_loss(p["z"], batch, mode="sampled", neg_pairs=neg_pairs)
+        loss, dz = link_loss(p["z"], batch, mode="sampled", neg_keys=neg_keys)
         return loss, {"z": dz}
 
     cases.append(("loss/link_sampled", link_sampled_fn, {"z": z0.copy()}))

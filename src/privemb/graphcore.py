@@ -304,13 +304,10 @@ def normalize_adjacency(g: Graph, edges: np.ndarray = None) -> sp.csr_matrix:
         if missing.any():
             u, v = edges[np.argmax(missing)]
             raise ValueError(f"edge ({int(u)}, {int(v)}) is not in the graph")
-    a = adjacency_with_self_loops(g.n, edges)
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    coo = a.tocoo()
-    data = inv_sqrt[coo.row] * inv_sqrt[coo.col]
-    lap = sp.csr_matrix((data, (coo.row, coo.col)), shape=a.shape)
-    lap.sort_indices()
+    lap = adjacency_with_self_loops(g.n, edges)
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(lap.sum(axis=1)).ravel())
+    rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
+    lap.data[:] = inv_sqrt[rows] * inv_sqrt[lap.indices]
     return lap
 
 

@@ -145,16 +145,19 @@ def init_state(variant: str, feat_dim: int, hidden: int, release_dim: int,
 @dataclass
 class Batch:
     """Per-run tensors shared by every loss: normalized adjacency, features,
-    reconstruction targets, and label blocks."""
+    reconstruction targets, and label blocks.
+
+    The targets are 0/1, so ``link_keys`` holds them as the sorted int64
+    keys i*n+j of their nonzeros: the training edges in both directions
+    plus the self-loops, 8 bytes per positive pair. Both link losses and
+    the negative sampler read them."""
 
     laplacian: sp.csr_matrix
     features: np.ndarray
-    link_targets: sp.csr_matrix
+    link_keys: np.ndarray
     utility: dict
     privacy_onehot: np.ndarray
     privacy_mask: np.ndarray
-    _pos_pairs: tuple = field(default=None, repr=False)
-    _pos_keys: np.ndarray = field(default=None, repr=False)
     _pos_filter: tuple = field(default=None, repr=False)
     _lap_features: np.ndarray = field(default=None, repr=False)
 
@@ -164,22 +167,8 @@ class Batch:
 
     @property
     def pos_weight(self) -> float:
-        nnz = self.link_targets.nnz
+        nnz = self.link_keys.size
         return (self.n * self.n - nnz) / nnz
-
-    def positive_pairs(self):
-        """All ordered nonzero target pairs, self-loops included."""
-        if self._pos_pairs is None:
-            coo = self.link_targets.tocoo()
-            self._pos_pairs = (coo.row.astype(np.int64), coo.col.astype(np.int64))
-        return self._pos_pairs
-
-    def positive_keys(self) -> np.ndarray:
-        """Sorted i*n+j keys of the nonzero targets, for fast rejection."""
-        if self._pos_keys is None:
-            rows, cols = self.positive_pairs()
-            self._pos_keys = np.sort(rows * np.int64(self.n) + cols)
-        return self._pos_keys
 
     def positive_filter(self):
         """(table, bits): a bool table of 2**bits slots, set at the slot of
@@ -188,7 +177,7 @@ class Batch:
         the other keys hitting one; a slot is one byte, so the table takes
         at most 16 bytes per key."""
         if self._pos_filter is None:
-            keys = self.positive_keys()
+            keys = self.link_keys
             bits = max(10, (8 * keys.size - 1).bit_length())
             table = np.zeros(1 << bits, dtype=bool)
             table[_key_slots(keys, bits)] = True
@@ -241,34 +230,30 @@ def concat_privacy(z, privacy_onehot) -> np.ndarray:
 _TRI_ROWS = 64
 
 
-def link_loss_exact(z_in, link_targets, pos_weight):
-    """Weighted BCE of every inner-product logit against the targets.
+def link_loss_exact(z_in, keys, pos_weight):
+    """Weighted BCE of every inner-product logit against 0/1 targets.
 
-    Equals ``bce_with_logits(z_in @ z_in.T, targets, pos_weight)`` with
-    dz = (g + g.T) @ z_in, but never builds dense targets or logits: with
-    softplus(-x) = softplus(x) - x the loss is one dense softplus plus a
-    correction on the target's nonzeros, and the logit gradient is the
-    symmetric sigmoid(X) / n^2 plus a sparse matrix C on those nonzeros.
-    The logits are streamed a block of _TRI_ROWS rows of the upper triangle
-    at a time, so the call holds three blocks of _TRI_ROWS x n besides
-    O(nnz) index arrays. ``link_targets`` may be sparse or dense.
+    ``keys`` are the sorted i*n+j keys of the targets' nonzeros
+    (``Batch.link_keys``). Equals ``bce_with_logits(z_in @ z_in.T, targets,
+    pos_weight)`` with dz = (g + g.T) @ z_in, but never builds dense
+    targets or logits: with softplus(-x) = softplus(x) - x the loss is one
+    dense softplus plus a correction on the nonzeros, and the logit
+    gradient is the symmetric sigmoid(X) / n^2 plus a sparse matrix C on
+    those nonzeros. The logits are streamed a block of _TRI_ROWS rows of
+    the upper triangle at a time, so the call holds three blocks of
+    _TRI_ROWS x n besides O(nnz) index arrays.
     """
     if not pos_weight > 0:
         raise ValueError("pos_weight must be positive")
     z_in = np.asarray(z_in, dtype=np.float64)
-    targets = sp.csr_matrix(link_targets, dtype=np.float64)
     n = z_in.shape[0]
-    if targets.shape != (n, n):
-        raise ShapeError(f"logits {(n, n)} and targets {targets.shape} differ")
     size = float(n * n)
-    rows = np.repeat(np.arange(n), np.diff(targets.indptr))
-    cols = targets.indices
-    t = targets.data
+    rows, cols = np.divmod(keys, n)
     # pair (r, c) is read from the block of lo = min(r, c), at (lo - s, hi - s)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(lo)
     bounds = np.searchsorted(lo[order], np.arange(0, n + _TRI_ROWS, _TRI_ROWS))
-    x_pos = np.empty(t.size)
+    x_pos = np.empty(keys.size)
     # each block adds its softplus, the square diagonal part once and the
     # rectangle right of it twice, then turns into sigmoid(x) =
     # exp(x - softplus(x)) in place and adds its share of sigmoid @ z_in
@@ -291,9 +276,10 @@ def link_loss_exact(z_in, link_targets, pos_weight):
     # softplus and the sigmoid are elementwise, so at the nonzeros they are
     # the kernels on x_pos
     sp_pos = softplus(x_pos)
-    total += float((t * ((pos_weight - 1.0) * sp_pos - pos_weight * x_pos)).sum())
-    c = sp.csr_matrix((t * ((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size,
-                       cols, targets.indptr), shape=targets.shape)
+    total += float(((pos_weight - 1.0) * sp_pos - pos_weight * x_pos).sum())
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    c = sp.csr_matrix((((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size,
+                       cols, indptr), shape=(n, n))
     dz *= 2.0 / size
     dz += (c + c.T) @ z_in
     return total / size, dz
@@ -314,43 +300,45 @@ def _pair_logits(z_in, rows, cols):
     return out
 
 
-def link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total):
+def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     """Balanced link loss over all positives plus sampled negatives.
 
-    Scaled so that sampling every negative exactly once reproduces the
-    exact-mode value and gradient. Each side works in sorted i*n+j key
-    order: the logits read their rows in sequence, the loss sums in that
-    order, and the logit gradients G form a CSR matrix without a sort, so
-    that dz = G @ z_in + G.T @ z_in.
+    Both sides are i*n+j pair keys. Scaled so that sampling every negative
+    exactly once reproduces the exact-mode value and gradient. Each side
+    works in sorted key order: the logits read their rows in sequence, the
+    loss sums in that order, and the logit gradients G form a CSR matrix
+    without a sort, so that dz = G @ z_in + G.T @ z_in.
     """
     n = z_in.shape[0]
     scale = n_neg_total / float(n * n)
     loss = 0.0
     dz = np.zeros(z_in.shape)
-    for rows, cols, target in ((pos_rows, pos_cols, 1.0), (neg_rows, neg_cols, 0.0)):
-        rows, cols = np.divmod(np.sort(np.asarray(rows, dtype=np.int64) * n + cols), n)
+    for keys, target in ((pos_keys, 1.0), (neg_keys, 0.0)):
+        keys = np.sort(keys)
+        rows, cols = np.divmod(keys, n)
         x = _pair_logits(z_in, rows, cols)
         g = scale * (sigmoid(x) - target) / x.size
         # softplus(-x) against a positive target, softplus(x) against zero
         x *= 1.0 - 2.0 * target
         loss += float(softplus(x, out=x).mean())
-        # G straight from the sorted pairs; a repeated pair stays as repeated
+        # G straight from the sorted keys; a repeated pair stays as repeated
         # entries, which the products sum
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         grad = sp.csr_matrix((g, cols, indptr), shape=(n, n))
         dz += grad @ z_in
         dz += grad.T @ z_in
     return scale * loss, dz
 
 
-def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
-    """Ordered (i, j) pairs with a zero reconstruction target, with replacement.
+def sample_negative_pairs(batch: Batch, count: int, rng: Rng) -> np.ndarray:
+    """Keys i*n+j of ordered pairs with a zero reconstruction target, drawn
+    with replacement.
 
     A candidate whose filter slot is clear is accepted at once; only the
-    filter's hits are looked up among the sorted positive keys.
+    filter's hits are looked up among the sorted ``batch.link_keys``.
     """
     n = batch.n
-    pos_keys = batch.positive_keys()
+    pos_keys = batch.link_keys
     table, bits = batch.positive_filter()
     accepted = []
     have = 0
@@ -367,25 +355,22 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
         accept[hits[pos_keys[idx] == hit_keys]] = False
         accepted.append(keys[accept])
         have += accepted[-1].size
-    return np.divmod(np.concatenate(accepted)[:count], n)
+    return np.concatenate(accepted)[:count]
 
 
 def link_loss(z_in, batch: Batch, mode: str = "exact", rng: Rng = None,
-              negs_per_pos: int = 5, neg_pairs=None):
+              negs_per_pos: int = 5, neg_keys=None):
     """Dispatch between the dense all-pairs loss and the sampled one."""
+    pos_keys = batch.link_keys
     if mode == "exact":
-        return link_loss_exact(z_in, batch.link_targets, batch.pos_weight)
+        return link_loss_exact(z_in, pos_keys, batch.pos_weight)
     if mode != "sampled":
         raise ValueError(f"unknown link loss mode '{mode}'")
-    pos_rows, pos_cols = batch.positive_pairs()
-    if neg_pairs is not None:
-        neg_rows, neg_cols = neg_pairs
-    else:
+    if neg_keys is None:
         if rng is None:
             raise ValueError("sampled mode needs an rng or explicit negatives")
-        neg_rows, neg_cols = sample_negative_pairs(batch, negs_per_pos * pos_rows.size, rng)
-    n_neg_total = batch.n * batch.n - batch.link_targets.nnz
-    return link_loss_sampled(z_in, pos_rows, pos_cols, neg_rows, neg_cols, n_neg_total)
+        neg_keys = sample_negative_pairs(batch, negs_per_pos * pos_keys.size, rng)
+    return link_loss_sampled(z_in, pos_keys, neg_keys, batch.n * batch.n - pos_keys.size)
 
 
 def attr_loss(z_in, wc, onehot, mask):
@@ -485,7 +470,7 @@ def release_embedding(state: ModelState, batch: Batch):
 
 def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
                       link_mode: str = "exact", rng: Rng = None,
-                      negs_per_pos: int = 5, neg_pairs=None, forward=None):
+                      negs_per_pos: int = 5, neg_keys=None, forward=None):
     """Joint forward and backward pass for the obfuscator update.
 
     Computes the link loss, every utility head loss, and (when the variant
@@ -508,7 +493,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     z_in = concat_privacy(z, batch.privacy_onehot) if concat else z
 
     l_link, dz_in = link_loss(z_in, batch, mode=link_mode, rng=rng,
-                              negs_per_pos=negs_per_pos, neg_pairs=neg_pairs)
+                              negs_per_pos=negs_per_pos, neg_keys=neg_keys)
     grads = {}
     attr_values = []
     for name, (onehot, mask) in batch.utility.items():

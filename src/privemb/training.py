@@ -12,7 +12,6 @@ from .graphcore import (
     EdgeSplit,
     Graph,
     InputError,
-    adjacency_with_self_loops,
     build_features,
     normalize_adjacency,
     onehot_labels,
@@ -21,7 +20,6 @@ from .graphcore import (
 from .models import (
     VARIANT_SPECS,
     Batch,
-    ModelState,
     attacker_loss,
     disc_loss,
     encoder_forward,
@@ -35,9 +33,9 @@ from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
-# bytes of the (count, 2) int64 negative pairs that sampled mode draws per
-# iteration (16 bytes for each of negs_per_pos x nnz pairs), checked before
-# training starts
+# bytes of the (count, 2) int64 candidate block that sampled mode draws for
+# its negatives per iteration (16 bytes for each of negs_per_pos x nnz
+# pairs), checked before training starts
 LINK_MEMORY_BUDGET = 1 << 30
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
@@ -123,7 +121,6 @@ class EmbeddingResult:
     trace: list
     config: TrainConfig
     wall_time: float
-    state: ModelState
     edge_split: EdgeSplit
 
 
@@ -134,13 +131,14 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     exclude = (schema.private_attribute,) if VARIANT_SPECS[variant].drops_private_feature else ()
     features = build_features(g, schema, exclude)
     laplacian = normalize_adjacency(g, train_edges)
-    targets = adjacency_with_self_loops(g.n, train_edges)
+    # the targets are the self-looped training adjacency: L's sparsity pattern
+    link_keys = np.repeat(np.arange(g.n), np.diff(laplacian.indptr)) * g.n + laplacian.indices
     utility = {name: onehot_labels(g, schema, name) for name in schema.utility_attributes}
     privacy_onehot, privacy_mask = onehot_labels(g, schema, schema.private_attribute)
     return Batch(
         laplacian=laplacian,
         features=features,
-        link_targets=targets,
+        link_keys=link_keys,
         utility=utility,
         privacy_onehot=privacy_onehot,
         privacy_mask=privacy_mask,
@@ -186,7 +184,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     if mode == "auto":
         mode = "sampled" if g.n > SAMPLED_MODE_THRESHOLD else "exact"
     if mode == "sampled":
-        _check_link_memory(g.n, batch.link_targets.nnz, cfg.negs_per_pos)
+        _check_link_memory(g.n, batch.link_keys.size, cfg.negs_per_pos)
     rng_neg = Rng(derive_seed(cfg.seed, "negatives"))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
@@ -255,7 +253,6 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         trace=trace,
         config=cfg,
         wall_time=time.perf_counter() - start,
-        state=state,
         edge_split=split,
     )
 

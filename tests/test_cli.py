@@ -170,6 +170,17 @@ class TestCommands:
             rows = list(csv.reader(fh))[1:]
         assert {row[3] for row in rows} == {"0.3", "0.5"}
 
+    def test_sweep_reads_utility_fraction(self, tmp_path):
+        config = write_config(tmp_path, model={"variant": "APGE", "d": 8, "d_prime": 4, "T": 2},
+                              eval={"lambda_values": [1.0], "sweep_repeats": 1,
+                                    "fraction": 0.6, "utility_fraction": 0.4})
+        r = run_cli("sweep", "--config", str(config), "--axis", "lambda")
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "out" / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        fractions = {row["task"]: row["fraction"] for row in rows}
+        assert fractions == {"privacy": "0.6", "utility:utility": "0.4", "link": "0.85"}
+
     def test_gradcheck_passes(self):
         r = run_cli("gradcheck")
         assert r.returncode == 0, r.stderr

@@ -6,7 +6,7 @@ from scipy import stats
 
 from privemb import datagen
 from privemb.datagen import SynthParams, synth_graph, synth_schema
-from privemb.evaluation import ClassifierSpec, attack_eval
+from privemb.evaluation import ClassifierSpec, _classification_eval
 from privemb.graphcore import load_graph, save_graph
 from privemb.training import TrainConfig, train
 
@@ -124,7 +124,7 @@ def test_no_blocking_means_no_leak():
                                        iterations=60, seed=0))
     labels = g.attributes["private"]
     mask = np.where(labels > 0)[0]
-    rows = attack_eval(res.Z, labels, mask, 2, ClassifierSpec(),
-                       fraction=0.5, seed=0, repeats=5)
+    rows = _classification_eval(res.Z, labels, mask, 2, ClassifierSpec(), 0.5, 0, 5, "",
+                                "privacy")
     acc = next(r.mean for r in rows if r.metric == "ACC")
     assert abs(acc - 0.5) <= 0.08

@@ -14,14 +14,13 @@ from privemb.evaluation import (
     REPORT_COLUMNS,
     ClassifierSpec,
     EvalRecord,
+    _classification_eval,
     accuracy,
-    attack_eval,
     audit,
     fit_classifier,
     link_eval,
     macro_f1,
     sweep,
-    utility_attr_eval,
     write_report,
 )
 from privemb.graphcore import AttributeSchema, EdgeSplit, Graph, InputError, split_edges
@@ -233,6 +232,13 @@ class TestClassifiers:
 # ---------------------------------------------------------------- attack
 
 
+def privacy_eval(z, labels, mask, num_classes, spec, fraction=0.5, seed=0, repeats=10,
+                method=""):
+    """The privacy task of ``audit`` run on its own."""
+    return _classification_eval(z, labels, mask, num_classes, spec, fraction, seed, repeats,
+                                method, "privacy")
+
+
 class TestAttackEval:
     def leaky_setup(self, m=3, n=90):
         labels = np.tile(np.arange(1, m + 1), n // m)
@@ -241,7 +247,7 @@ class TestAttackEval:
     @pytest.mark.parametrize("kind", ["softmax", "mlp", "knn"])
     def test_leaky_embedding_caught(self, kind):
         z, labels, mask = self.leaky_setup()
-        rows = attack_eval(z, labels, mask, 3, ClassifierSpec(kind=kind),
+        rows = privacy_eval(z, labels, mask, 3, ClassifierSpec(kind=kind),
                            fraction=0.5, seed=0, repeats=3)
         f1 = next(r for r in rows if r.metric == "MacroF1")
         assert f1.mean >= 0.99
@@ -251,14 +257,14 @@ class TestAttackEval:
         n = 200
         labels = np.tile([1, 2], n // 2)
         z = rng.randn(n, 16)
-        rows = attack_eval(z, labels, np.arange(n), 2, ClassifierSpec(),
+        rows = privacy_eval(z, labels, np.arange(n), 2, ClassifierSpec(),
                            fraction=0.5, seed=0, repeats=10)
         acc = next(r for r in rows if r.metric == "ACC")
         assert abs(acc.mean - 0.5) <= 0.05
 
     def test_record_fields(self):
         z, labels, mask = self.leaky_setup()
-        rows = attack_eval(z, labels, mask, 3, ClassifierSpec(), fraction=0.3,
+        rows = privacy_eval(z, labels, mask, 3, ClassifierSpec(), fraction=0.3,
                            seed=5, repeats=2, method="GAE")
         assert len(rows) == 2
         for r in rows:
@@ -270,18 +276,18 @@ class TestAttackEval:
 
     def test_reproducible(self):
         z, labels, mask = self.leaky_setup()
-        a = attack_eval(z, labels, mask, 3, ClassifierSpec(), seed=9, repeats=3)
-        b = attack_eval(z, labels, mask, 3, ClassifierSpec(), seed=9, repeats=3)
+        a = privacy_eval(z, labels, mask, 3, ClassifierSpec(), seed=9, repeats=3)
+        b = privacy_eval(z, labels, mask, 3, ClassifierSpec(), seed=9, repeats=3)
         assert a == b
 
     def test_fraction_and_mask_validation(self):
         z, labels, mask = self.leaky_setup()
         with pytest.raises(ValueError):
-            attack_eval(z, labels, mask, 3, ClassifierSpec(), fraction=0.05)
+            privacy_eval(z, labels, mask, 3, ClassifierSpec(), fraction=0.05)
         with pytest.raises(ValueError):
-            attack_eval(z, labels, np.array([], dtype=int), 3, ClassifierSpec())
+            privacy_eval(z, labels, np.array([], dtype=int), 3, ClassifierSpec())
         with pytest.raises(ValueError):
-            attack_eval(z, labels, mask, 3, ClassifierSpec(), repeats=0)
+            privacy_eval(z, labels, mask, 3, ClassifierSpec(), repeats=0)
 
     def test_impossible_split_reported(self):
         # two labeled nodes, two classes: one side of a 0.5 split can never
@@ -289,7 +295,7 @@ class TestAttackEval:
         z = np.eye(2)
         labels = np.array([1, 2])
         with pytest.raises(ValueError, match="training side"):
-            attack_eval(z, labels, np.array([0, 1]), 2, ClassifierSpec(),
+            privacy_eval(z, labels, np.array([0, 1]), 2, ClassifierSpec(),
                         fraction=0.5, repeats=1)
 
 
@@ -299,9 +305,9 @@ def test_data_faults_are_input_errors():
     spec = ClassifierSpec(kind="softmax", steps=2)
     for mask in (np.array([], dtype=int), np.array([2])):
         with pytest.raises(InputError):
-            attack_eval(z, labels, mask, 2, spec, repeats=1)
+            privacy_eval(z, labels, mask, 2, spec, repeats=1)
     with pytest.raises(InputError, match="training side"):
-        attack_eval(z[:2], labels[:2], np.array([0, 1]), 2, spec, repeats=1)
+        privacy_eval(z[:2], labels[:2], np.array([0, 1]), 2, spec, repeats=1)
     empty = np.empty((0, 2), dtype=np.int64)
     pairs = np.array([[0, 1]])
     with pytest.raises(InputError, match="empty side"):
@@ -309,15 +315,15 @@ def test_data_faults_are_input_errors():
     # parameters, not data: these stay plain configuration errors
     for kwargs in ({"fraction": 0.05}, {"repeats": 0}):
         with pytest.raises(ValueError) as err:
-            attack_eval(z, labels, np.arange(4), 2, spec, **kwargs)
+            privacy_eval(z, labels, np.arange(4), 2, spec, **kwargs)
         assert not isinstance(err.value, InputError)
 
 
 def test_utility_eval_task_name():
     labels = np.tile(np.arange(1, 4), 30)
     z = onehot_of(labels, 3)
-    rows = utility_attr_eval(z, labels, np.arange(90), 3, ClassifierSpec(),
-                             seed=0, repeats=2, name="dept")
+    rows = _classification_eval(z, labels, np.arange(90), 3, ClassifierSpec(), 0.7, 0, 2, "",
+                                "utility:dept")
     assert all(r.task == "utility:dept" for r in rows)
     assert next(r for r in rows if r.metric == "MacroF1").mean >= 0.99
 
@@ -415,23 +421,22 @@ def test_audit_equals_direct_calls(small_synth):
     z = Rng(5).randn(g.n, 4)
     split = split_edges(g, 0.2, seed=6)
     specs = [ClassifierSpec(kind="softmax", steps=20), ClassifierSpec(kind="knn")]
-    kw = dict(repeats=2, method="m")
+    kw = dict(repeats=2, fraction=0.4, utility_fraction=0.6, method="m")
 
     want = []
     for spec in specs:
-        want += attack_eval(z, g.attributes["private"], np.arange(g.n), 2, spec,
-                            fraction=0.4, seed=derive_seed(9, "p"), **kw)
+        want += _classification_eval(z, g.attributes["private"], np.arange(g.n), 2, spec,
+                                     0.4, derive_seed(9, "p"), 2, "m", "privacy")
     for name in ("dept", "year"):
         mask = np.flatnonzero(g.attributes[name])
         for spec in specs:
-            want += utility_attr_eval(z, g.attributes[name], mask, 3, spec, fraction=0.6,
-                                      seed=derive_seed(9, f"u/{name}"), name=name, **kw)
+            want += _classification_eval(z, g.attributes[name], mask, 3, spec, 0.6,
+                                         derive_seed(9, f"u/{name}"), 2, "m", f"utility:{name}")
     for spec in specs:
         want += link_eval(z, split, spec, seed=derive_seed(9, "l"), method="m")
 
     labels = {"privacy": "p", "utility": "u/{name}", "link": "l"}
-    got = audit(z, g, schema, specs, labels, 9, split=split, fraction=0.4,
-                utility_fraction=0.6, **kw)
+    got = audit(z, g, schema, specs, labels, 9, split=split, **kw)
     assert got == want
     assert audit(z, g, schema, specs, {"link": "l"}, 9, split=split, **kw) == want[-4:]
 
@@ -444,7 +449,7 @@ class TestSweep:
         g, schema = small_synth
         cfg = TrainConfig(variant="GAE", d=8, hidden=10, iterations=3)
         rows = sweep("fraction", [0.3, 0.5], g, schema, cfg,
-                     ClassifierSpec(), repeats=2, seed=0)
+                     ClassifierSpec(), repeats=2, fraction=0.5, utility_fraction=0.7, seed=0)
         fractions = sorted({r.fraction for r in rows})
         assert fractions == [0.3, 0.5]
         assert all(r.task == "privacy" for r in rows)
@@ -455,7 +460,7 @@ class TestSweep:
         cfg = TrainConfig(variant="APGE", d=8, d_prime=4, hidden=10,
                           iterations=3)
         rows = sweep("lambda", [0.0, 1.0], g, schema, cfg, ClassifierSpec(),
-                     repeats=1, seed=0)
+                     repeats=1, fraction=0.5, utility_fraction=0.7, seed=0)
         methods = {r.method for r in rows}
         assert methods == {"APGE[lambda=0]", "APGE[lambda=1]"}
         tasks = {r.task for r in rows}
@@ -464,10 +469,11 @@ class TestSweep:
     def test_unknown_axis(self, small_synth):
         g, schema = small_synth
         with pytest.raises(ValueError):
-            sweep("epsilon", [1], g, schema, TrainConfig(), ClassifierSpec())
+            sweep("epsilon", [1], g, schema, TrainConfig(), ClassifierSpec(),
+                  repeats=1, fraction=0.5, utility_fraction=0.7)
 
     def test_empty_values(self, small_synth):
         g, schema = small_synth
         with pytest.raises(ValueError):
             sweep("lambda", [], g, schema, TrainConfig(variant="APGE"),
-                  ClassifierSpec())
+                  ClassifierSpec(), repeats=1, fraction=0.5, utility_fraction=0.7)

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from privemb.graphcore import (
@@ -207,6 +208,18 @@ def test_laplacian_matches_dense_oracle(small_synth):
     assert_close(lap, oracle, tol=1e-12)
 
 
+def _rebuilt_laplacian(n, edges):
+    """D^-1/2 (A+I) D^-1/2 rebuilt through COO into a new sorted CSR, the
+    reference for normalize_adjacency's scaling in place."""
+    a = adjacency_with_self_loops(n, edges)
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    coo = a.tocoo()
+    lap = sp.csr_matrix((inv_sqrt[coo.row] * inv_sqrt[coo.col], (coo.row, coo.col)),
+                        shape=a.shape)
+    lap.sort_indices()
+    return lap
+
+
 @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_laplacian_is_bitwise_symmetric(n, density, seed):
     # the encoder's backward pass uses L.T == L (models.encoder_backward)
@@ -214,7 +227,11 @@ def test_laplacian_is_bitwise_symmetric(n, density, seed):
     edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
     g = Graph(n=n, edges=edges, attributes={})
     for subset in (edges, edges[rng.random(len(edges)) < 0.5]):
-        lap = normalize_adjacency(g, subset).toarray()
+        lap = normalize_adjacency(g, subset)
+        want = _rebuilt_laplacian(n, subset)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(lap, part), getattr(want, part))
+        lap = lap.toarray()
         assert np.array_equal(lap, lap.T)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from privemb import models
 from privemb.datagen import synth_graph
-from privemb.graphcore import Graph, adjacency_with_self_loops, normalize_adjacency
+from privemb.graphcore import AttributeSchema, Graph, adjacency_with_self_loops, normalize_adjacency
 from privemb.models import (
     Batch,
     ModelState,
@@ -62,16 +62,27 @@ def _tiny_batch(n=4, edges=((0, 1), (1, 2), (2, 3)), feat_dim=5, m_private=2,
         a[i, j] = a[j, i] = 1.0
     deg = a.sum(axis=1)
     lap = sp.csr_matrix(a / np.sqrt(np.outer(deg, deg)))
-    targets = sp.csr_matrix(a)
     feats = rng.randn(n, feat_dim)
     priv = np.zeros((n, m_private))
     priv[np.arange(n), np.arange(n) % m_private] = 1.0
     util = np.zeros((n, m_util))
     util[np.arange(n), np.arange(n) % m_util] = 1.0
     mask = np.arange(n)
-    return Batch(laplacian=lap, features=feats, link_targets=targets,
+    return Batch(laplacian=lap, features=feats, link_keys=np.flatnonzero(a),
                  utility={"dept": (util, mask)}, privacy_onehot=priv,
                  privacy_mask=mask)
+
+
+def _dense_targets(keys, n):
+    """The 0/1 n x n target matrix whose nonzeros have the i*n+j ``keys``."""
+    targets = np.zeros(n * n)
+    targets[keys] = 1.0
+    return targets.reshape(n, n)
+
+
+def _negative_keys(batch):
+    """Every zero-target pair's key, in key order."""
+    return np.setdiff1d(np.arange(batch.n * batch.n), batch.link_keys)
 
 
 # ---------------------------------------------------------------- wiring
@@ -140,9 +151,9 @@ class TestLinkLoss:
         # ln2 * (pos_weight*npos + nneg) / n^2 = 2*ln2*nneg/n^2
         batch = _tiny_batch()
         n = batch.n
-        nnz = batch.link_targets.nnz
+        nnz = batch.link_keys.size
         expected = 2.0 * LN2 * (n * n - nnz) / (n * n)
-        loss, dz = link_loss_exact(np.zeros((n, 3)), batch.link_targets,
+        loss, dz = link_loss_exact(np.zeros((n, 3)), batch.link_keys,
                                    batch.pos_weight)
         assert_close(loss, expected, tol=1e-12)
         assert np.all(dz == 0.0)  # symmetric gradient at the origin
@@ -150,9 +161,9 @@ class TestLinkLoss:
     def test_saturated_reconstruction(self):
         # two isolated nodes: targets are just the self-loops, and
         # z1 = -z2 saturates every pair the right way
-        targets = np.eye(2)
+        keys = np.flatnonzero(np.eye(2))
         z = np.array([[10.0], [-10.0]])
-        loss, _ = link_loss_exact(z, targets, pos_weight=1.0)
+        loss, _ = link_loss_exact(z, keys, pos_weight=1.0)
         assert loss < 1e-20
 
     @pytest.mark.parametrize("pos_weight", [0.4, 3.7])
@@ -160,13 +171,12 @@ class TestLinkLoss:
         batch = _tiny_batch(n=12, edges=tuple((i, (i + 3) % 12) for i in range(12)),
                             feat_dim=6)
         z = Rng(8).randn(12, 4)
-        dense = batch.link_targets.toarray()
+        dense = _dense_targets(batch.link_keys, batch.n)
         want, g = bce_with_logits(z @ z.T, dense, pos_weight)
         want_dz = (g + g.T) @ z
-        for targets in (batch.link_targets, dense):
-            loss, dz = link_loss_exact(z, targets, pos_weight)
-            assert_close(loss, want, tol=1e-12)
-            assert_close(dz, want_dz, tol=1e-12)
+        loss, dz = link_loss_exact(z, batch.link_keys, pos_weight)
+        assert_close(loss, want, tol=1e-12)
+        assert_close(dz, want_dz, tol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(500, 66), (129, 5), (1, 3)])
     def test_exact_matches_full_array_reference(self, n, d):
@@ -178,26 +188,24 @@ class TestLinkLoss:
         # transposed block left out misses by far more
         rng = Rng(n + d)
         z = rng.randn(n, d) * 0.5
-        targets = sp.csr_matrix((rng.random((n, n)) < 0.02).astype(np.float64))
-        targets.setdiag(1.0)
-        targets = sp.csr_matrix(targets)
+        targets = rng.random((n, n)) < 0.02
+        np.fill_diagonal(targets, True)
+        keys = np.flatnonzero(targets)
         pos_weight = 6.5
-        loss, dz = link_loss_exact(z, targets, pos_weight)
+        loss, dz = link_loss_exact(z, keys, pos_weight)
         for kernel in (softplus, lambda x: np.logaddexp(0.0, x)):
             logits = z @ z.T
             size = float(logits.size)
-            rows = np.repeat(np.arange(n), np.diff(targets.indptr))
-            cols = targets.indices
-            t = targets.data
+            rows, cols = np.nonzero(targets)
             x_pos = logits[rows, cols]
             sp_all = kernel(logits)
-            correction = t * ((pos_weight - 1.0) * sp_all[rows, cols] - pos_weight * x_pos)
+            correction = (pos_weight - 1.0) * sp_all[rows, cols] - pos_weight * x_pos
             want = (float(sp_all.sum()) + float(correction.sum())) / size
             assert abs(loss - want) <= 1e-15 * abs(want)
             if kernel is softplus:
                 sig = np.exp(logits - sp_all)
-                c = sp.csr_matrix((t * ((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
-                                   cols, targets.indptr), shape=targets.shape)
+                c = sp.csr_matrix((((pos_weight - 1.0) * sig[rows, cols] - pos_weight) / size,
+                                   (rows, cols)), shape=(n, n))
                 want_dz = (sig @ z) * (2.0 / size) + (c + c.T) @ z
                 scale = abs(sig) @ abs(z) * (2.0 / size) + abs(c + c.T) @ abs(z)
                 assert np.all(abs(dz - want_dz) <= 16 * np.finfo(float).eps * scale)
@@ -209,12 +217,12 @@ class TestLinkLoss:
         for n, bound in ((1200, 0.4), (2400, 0.25)):
             rng = Rng(3)
             z = rng.randn(n, 16) * 0.3
-            targets = sp.csr_matrix((rng.random((n, n)) < 0.01).astype(np.float64))
-            targets.setdiag(1.0)
-            targets = sp.csr_matrix(targets)
+            targets = rng.random((n, n)) < 0.01
+            np.fill_diagonal(targets, True)
+            keys = np.flatnonzero(targets)
             tracemalloc.start()
             try:
-                link_loss_exact(z, targets, 5.0)
+                link_loss_exact(z, keys, 5.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -244,7 +252,7 @@ class TestLinkLoss:
         np.add.at(want_dz, neg_rows, gn[:, None] * z[neg_cols])
         np.add.at(want_dz, neg_cols, gn[:, None] * z[neg_rows])
 
-        loss, dz = models.link_loss_sampled(z, pos_rows, pos_cols, neg_rows, neg_cols,
+        loss, dz = models.link_loss_sampled(z, pos_rows * n + pos_cols, neg_rows * n + neg_cols,
                                             n_neg_total)
         assert_close(loss, want, tol=1e-12)
         assert_close(dz, want_dz, tol=1e-12)
@@ -253,11 +261,8 @@ class TestLinkLoss:
         batch = _tiny_batch(n=12, edges=tuple((i, (i + 1) % 12) for i in range(12)),
                             feat_dim=6)
         z = Rng(5).randn(12, 4)
-        dense = batch.link_targets.toarray()
-        neg = np.argwhere(dense == 0.0)
         loss_e, dz_e = link_loss(z, batch, mode="exact")
-        loss_s, dz_s = link_loss(z, batch, mode="sampled",
-                                 neg_pairs=(neg[:, 0], neg[:, 1]))
+        loss_s, dz_s = link_loss(z, batch, mode="sampled", neg_keys=_negative_keys(batch))
         assert_close(loss_s, loss_e, tol=1e-10)
         assert np.allclose(dz_s, dz_e, atol=1e-10)
 
@@ -269,16 +274,14 @@ class TestLinkLoss:
         rng = np.random.default_rng(seed)
         edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
         batch = _target_batch(n, edges)
-        pos = np.argwhere(batch.link_targets.toarray() != 0.0)
-        neg = np.argwhere(batch.link_targets.toarray() == 0.0)
+        neg = _negative_keys(batch)
         if not neg.size:
             return
-        pos = pos[rng.permutation(len(pos))]
-        neg = neg[rng.permutation(len(neg))]
+        pos = rng.permutation(batch.link_keys)
+        neg = rng.permutation(neg)
         z = rng.standard_normal((n, d))
         loss_e, dz_e = link_loss(z, batch, mode="exact")
-        loss_s, dz_s = models.link_loss_sampled(z, pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1],
-                                                len(neg))
+        loss_s, dz_s = models.link_loss_sampled(z, pos, neg, len(neg))
         assert abs(loss_s - loss_e) <= 1e-12 * abs(loss_e)
         assert np.allclose(dz_s, dz_e, rtol=1e-10, atol=1e-14)
 
@@ -338,27 +341,43 @@ def _searchsorted_negatives(batch, count, rng):
     """Negative sampling as one sorted-key lookup per candidate, the
     reference for the filtered rejection."""
     n = batch.n
-    pos_keys = batch.positive_keys()
-    rows = []
-    cols = []
+    pos_keys = batch.link_keys
+    accepted = []
     have = 0
     while have < count:
         k = max(256, count - have)
         cand = rng.integers(0, n, size=(k, 2)).astype(np.int64)
         keys = cand[:, 0] * np.int64(n) + cand[:, 1]
         idx = np.minimum(np.searchsorted(pos_keys, keys), pos_keys.size - 1)
-        good = cand[pos_keys[idx] != keys]
-        rows.append(good[:, 0])
-        cols.append(good[:, 1])
-        have += good.shape[0]
-    return np.concatenate(rows)[:count], np.concatenate(cols)[:count]
+        accepted.append(keys[pos_keys[idx] != keys])
+        have += accepted[-1].size
+    return np.concatenate(accepted)[:count]
 
 
 def _target_batch(n, edges):
     targets = adjacency_with_self_loops(n, np.asarray(edges, dtype=np.int64))
-    return Batch(laplacian=targets, features=np.zeros((n, 1)), link_targets=targets,
+    return Batch(laplacian=targets, features=np.zeros((n, 1)),
+                 link_keys=np.flatnonzero(targets.toarray()),
                  utility={}, privacy_onehot=np.zeros((n, 2)),
                  privacy_mask=np.arange(0))
+
+
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), keep=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_link_keys_are_the_self_looped_training_adjacency(n, density, keep, seed):
+    # prepare_batch reads the keys off L's sparsity pattern, which
+    # normalize_adjacency takes from the self-looped training adjacency
+    rng = np.random.default_rng(seed)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    train_edges = edges[rng.random(len(edges)) < keep]
+    g = Graph(n=n, edges=edges, attributes={"private": rng.integers(0, 3, n),
+                                            "dept": rng.integers(0, 3, n)})
+    schema = AttributeSchema(names=("private", "dept"), classes={"private": 2, "dept": 2},
+                             roles={"private": "private", "dept": "utility"})
+    keys = prepare_batch(g, schema, "GAE", train_edges).link_keys
+    assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+    targets = adjacency_with_self_loops(n, train_edges).toarray()
+    assert np.array_equal(keys, np.flatnonzero(targets))
 
 
 class TestNegativeSampling:
@@ -378,11 +397,10 @@ class TestNegativeSampling:
         with mock.patch.object(models, "_key_slots", self.HASHES[hash_name]):
             batch = _target_batch(n, pairs)
             rng_a, rng_b = Rng(seed), Rng(seed)
-            rows, cols = models.sample_negative_pairs(batch, count, rng_a)
-        want_rows, want_cols = _searchsorted_negatives(batch, count, rng_b)
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        assert rows.size == count
-        assert not batch.link_targets[rows, cols].any()
+            keys = models.sample_negative_pairs(batch, count, rng_a)
+        assert np.array_equal(keys, _searchsorted_negatives(batch, count, rng_b))
+        assert keys.size == count
+        assert not np.isin(keys, batch.link_keys).any()
         # the same number of draws: both streams continue alike
         assert rng_a.random() == rng_b.random()
 
@@ -392,15 +410,14 @@ class TestNegativeSampling:
         n = 50
         pairs = np.argwhere(np.triu(np.ones((n, n)), k=1))[25:]
         batch = _target_batch(n, pairs)
-        rows, cols = models.sample_negative_pairs(batch, 3000, Rng(2))
-        want_rows, want_cols = _searchsorted_negatives(batch, 3000, Rng(2))
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        assert not batch.link_targets[rows, cols].any()
+        keys = models.sample_negative_pairs(batch, 3000, Rng(2))
+        assert np.array_equal(keys, _searchsorted_negatives(batch, 3000, Rng(2)))
+        assert not np.isin(keys, batch.link_keys).any()
 
     def test_filter_marks_every_positive(self):
         batch = _target_batch(30, [(i, (i * 7 + 3) % 30) for i in range(30)])
         table, bits = batch.positive_filter()
-        keys = batch.positive_keys()
+        keys = batch.link_keys
         assert table.size == 2 ** bits and bits >= 10
         assert table.size <= max(2 ** 10, 16 * keys.size)
         assert table[models._key_slots(keys, bits)].all()
