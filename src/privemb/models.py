@@ -194,24 +194,25 @@ class Batch:
 def _key_slots(keys, bits: int) -> np.ndarray:
     """Multiplicative (Fibonacci) hash of int64 keys to ``bits``-bit slots,
     in wrapping uint64 arithmetic."""
-    mixed = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return mixed >> np.uint64(64 - bits)
+    mixed = keys.astype(np.uint64)
+    mixed *= np.uint64(0x9E3779B97F4A7C15)
+    return np.right_shift(mixed, np.uint64(64 - bits), out=mixed)
 
 
 def encoder_forward(lap, lx, w0, w1):
-    """Two graph convolutions, Z = L relu(L X W0) W1, from ``lx`` = L @ X."""
-    pre = matmul(lx, w0)
-    hidden = relu(pre)
+    """Two graph convolutions, Z = L relu(L X W0) W1, from ``lx`` = L @ X. The
+    cache is relu(L X W0): positive exactly where L X W0 is, a NaN in neither."""
+    hidden = matmul(lx, w0)
+    np.maximum(hidden, 0.0, out=hidden)
     z = spmm(lap, matmul(hidden, w1))
-    return z, (pre, hidden)
+    return z, hidden
 
 
-def encoder_backward(dz, cache, lap, lx, w1):
-    pre, hidden = cache
+def encoder_backward(dz, hidden, lap, lx, w1):
     dmix = spmm(lap, dz)
     dw1 = matmul(hidden.T, dmix)
     dhidden = matmul(dmix, w1.T)
-    dpre = relu_backward(dhidden, pre)
+    dpre = relu_backward(dhidden, hidden)
     # X.T @ L @ dpre, with L symmetric (normalize_adjacency builds it so)
     dw0 = matmul(lx.T, dpre)
     return dw0, dw1
@@ -288,16 +289,8 @@ def link_loss_exact(z_in, keys, pos_weight):
 # pairs per chunk of gathered endpoint rows in the sampled loss: two
 # gathered blocks of 512 rows of 65 floats stay in a core's L2 cache
 _PAIR_CHUNK = 512
-
-
-def _pair_logits(z_in, rows, cols):
-    """Inner products z_in[rows[k]] . z_in[cols[k]], gathered a fixed number
-    of pairs at a time so the memory stays bounded."""
-    out = np.empty(rows.size)
-    for s in range(0, rows.size, _PAIR_CHUNK):
-        e = s + _PAIR_CHUNK
-        out[s:e] = np.einsum("ij,ij->i", z_in[rows[s:e]], z_in[cols[s:e]])
-    return out
+# pairs per block of its divmod, sigmoid and softplus: under 1 MB of temporaries
+_PAIR_BLOCK = 16384
 
 
 def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
@@ -307,7 +300,8 @@ def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     exactly once reproduces the exact-mode value and gradient. Each side
     works in sorted key order: the logits read their rows in sequence, the
     loss sums in that order, and the logit gradients G form a CSR matrix
-    without a sort, so that dz = G @ z_in + G.T @ z_in.
+    without a sort, so that dz = G @ z_in + G.T @ z_in. A side holds 28 bytes
+    per pair at full size: sorted keys, int32 columns, logits and gradients.
     """
     n = z_in.shape[0]
     scale = n_neg_total / float(n * n)
@@ -315,18 +309,29 @@ def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     dz = np.zeros(z_in.shape)
     for keys, target in ((pos_keys, 1.0), (neg_keys, 0.0)):
         keys = np.sort(keys)
-        rows, cols = np.divmod(keys, n)
-        x = _pair_logits(z_in, rows, cols)
-        g = scale * (sigmoid(x) - target) / x.size
-        # softplus(-x) against a positive target, softplus(x) against zero
-        x *= 1.0 - 2.0 * target
-        loss += float(softplus(x, out=x).mean())
+        cols = np.empty(keys.size, dtype=np.int32)
+        x = np.empty(keys.size)
+        g = np.empty(keys.size)
+        for b in range(0, keys.size, _PAIR_BLOCK):
+            rows, cols_b = np.divmod(keys[b:b + _PAIR_BLOCK], n)
+            cols[b:b + _PAIR_BLOCK] = cols_b
+            x_b = np.empty(rows.size)
+            for s in range(0, rows.size, _PAIR_CHUNK):
+                e = s + _PAIR_CHUNK
+                x_b[s:e] = np.einsum("ij,ij->i", z_in[rows[s:e]], z_in[cols_b[s:e]])
+            g[b:b + _PAIR_BLOCK] = scale * (sigmoid(x_b) - target) / keys.size
+            # softplus(-x) against a positive target, softplus(x) against zero
+            x_b *= 1.0 - 2.0 * target
+            x[b:b + _PAIR_BLOCK] = softplus(x_b, out=x_b)
+        loss += float(x.mean())
         # G straight from the sorted keys; a repeated pair stays as repeated
         # entries, which the products sum
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        del keys, x  # before the products' n x width arrays
         grad = sp.csr_matrix((g, cols, indptr), shape=(n, n))
         dz += grad @ z_in
         dz += grad.T @ z_in
+        del grad, g, cols  # before the next side's arrays
     return scale * loss, dz
 
 
@@ -340,12 +345,12 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng) -> np.ndarray:
     n = batch.n
     pos_keys = batch.link_keys
     table, bits = batch.positive_filter()
-    accepted = []
+    out = np.empty(count, dtype=np.int64)
     have = 0
     while have < count:
         k = max(256, count - have)
-        cand = rng.integers(0, n, size=(k, 2)).astype(np.int64, copy=False)
-        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
+        # keys i*n+j of the candidates; their (k, 2) block is freed at once
+        keys = rng.integers(0, n, size=(k, 2)) @ np.array([n, 1], dtype=np.int64)
         hits = np.flatnonzero(table[_key_slots(keys, bits)])
         # looked up in key order, which keeps the binary searches in cache
         hits = hits[np.argsort(keys[hits])]
@@ -353,9 +358,10 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng) -> np.ndarray:
         idx = np.minimum(np.searchsorted(pos_keys, hit_keys), pos_keys.size - 1)
         accept = np.ones(k, dtype=bool)
         accept[hits[pos_keys[idx] == hit_keys]] = False
-        accepted.append(keys[accept])
-        have += accepted[-1].size
-    return np.concatenate(accepted)[:count]
+        keys = keys[accept][:count - have]
+        out[have:have + keys.size] = keys
+        have += keys.size
+    return out
 
 
 def link_loss(z_in, batch: Batch, mode: str = "exact", rng: Rng = None,

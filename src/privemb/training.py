@@ -33,10 +33,12 @@ from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
-# bytes of the (count, 2) int64 candidate block that sampled mode draws for
-# its negatives per iteration (16 bytes for each of negs_per_pos x nnz
-# pairs), checked before training starts
+# bytes a sampled step may hold for its negatives, checked before training. It
+# counts 40 per negative: the key and the loss's sorted key, int32 column, logit
+# and gradient are 36 (the sampler peaks at 32); 4 cover what does not grow
 LINK_MEMORY_BUDGET = 1 << 30
+# rows per block of the embeddings CSV, formatted as one string
+_EXPORT_ROWS = 256
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
 
@@ -147,10 +149,10 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
 
 def _check_link_memory(n: int, nnz: int, negs_per_pos: int) -> None:
     """Refuse negative pairs that would exceed LINK_MEMORY_BUDGET."""
-    need = 16 * negs_per_pos * nnz
+    need = 40 * negs_per_pos * nnz
     if need > LINK_MEMORY_BUDGET:
-        raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for one array "
-                          f"at n={n}, over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
+        raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for its negative "
+                          f"pairs at n={n}, over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
                           "lower negatives_per_positive")
 
 
@@ -228,8 +230,8 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         opt_obf.step(state.obf_params(), grads)
 
         if spec.disentangles:
-            z_code, (_, hidden) = encoder_forward(batch.laplacian, batch.laplacian_features(),
-                                                  state.W0, state.W1)
+            z_code, hidden = encoder_forward(batch.laplacian, batch.laplacian_features(),
+                                             state.W0, state.W1)
             for _ in range(cfg.k_dis):
                 prior = rng_prior.randn(g.n, z_code.shape[1])
                 l_dc, dgrads, _ = disc_loss(prior, z_code, state.Wd1, state.bd1,
@@ -259,13 +261,15 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
 
 def export_embeddings(result, path) -> None:
     """Write the released embedding as CSV with 17 significant digits,
-    enough for a bit-exact float64 round-trip."""
+    enough for a bit-exact float64 round-trip, a block of rows at a time."""
     z = result.Z if hasattr(result, "Z") else np.asarray(result, dtype=np.float64)
     header = ",".join(f"z_{j}" for j in range(z.shape[1]))
     row = ",".join(["%.17g"] * z.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write(row * z.shape[0] % tuple(z.ravel().tolist()))
+        for s in range(0, z.shape[0], _EXPORT_ROWS):
+            block = z[s:s + _EXPORT_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def load_embeddings(path) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -42,6 +44,16 @@ def assert_close(a, b, tol=1e-9):
     assert a.shape == b.shape, f"shape {a.shape} vs {b.shape}"
     err = np.max(np.abs(a - b)) if a.size else 0.0
     assert err <= tol, f"max abs err {err:.3e} > {tol:.1e}"
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the allocations made by fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -2,11 +2,10 @@
 
 import csv
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import adam_reference, assert_close
+from conftest import adam_reference, assert_close, traced_peak
 from hypothesis import given, strategies as st
 
 from privemb import evaluation
@@ -165,13 +164,7 @@ class TestClassifiers:
         x = Rng(4).randn(n, 64)
         y0 = np.arange(n) % 2
         spec = ClassifierSpec(kind="mlp", steps=2, hidden=hidden)
-        tracemalloc.start()
-        try:
-            evaluation._fit_mlp(x, y0, 2, spec, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * hidden * 8
+        assert traced_peak(evaluation._fit_mlp, x, y0, 2, spec, 0) < n * hidden * 8
 
     def problem(self, n, m):
         rng = Rng(n + m)

@@ -1,13 +1,12 @@
 """Loss oracles and wiring checks for the model variants."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import assert_close
+from conftest import assert_close, traced_peak
 from hypothesis import given, strategies as st
 
 from privemb import models
@@ -35,7 +34,9 @@ from privemb.numkit import (
     ShapeError,
     bce_with_logits,
     matmul,
+    relu,
     relu_backward,
+    sigmoid,
     softmax_cross_entropy,
     softplus,
     spmm,
@@ -220,13 +221,7 @@ class TestLinkLoss:
             targets = rng.random((n, n)) < 0.01
             np.fill_diagonal(targets, True)
             keys = np.flatnonzero(targets)
-            tracemalloc.start()
-            try:
-                link_loss_exact(z, keys, 5.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * 8 * n * n, n
+            assert traced_peak(link_loss_exact, z, keys, 5.0) < bound * 8 * n * n, n
 
     def test_sampled_matches_scatter_reference(self, monkeypatch):
         # several pair chunks, and repeated pairs that must accumulate
@@ -297,17 +292,105 @@ class TestLinkLoss:
 
     @pytest.mark.parametrize("chunk", [1, 3, 256, 4096])
     def test_pair_logits_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
-        # each logit sums its row in the same order whatever the chunk
+        # each logit sums its row in the same order whatever the chunk and
+        # the block, so the loss and the gradient keep their bits
         rng = Rng(9)
         z = rng.randn(300, 65)
-        rows = rng.integers(0, 300, size=5000)
-        cols = rng.integers(0, 300, size=5000)
-        want = models._pair_logits(z, rows, cols)
+        pos = rng.integers(0, 300 * 300, size=900)
+        neg = rng.integers(0, 300 * 300, size=5000)
+        want_loss, want_dz = models.link_loss_sampled(z, pos, neg, 80000)
         monkeypatch.setattr(models, "_PAIR_CHUNK", chunk)
-        assert np.array_equal(models._pair_logits(z, rows, cols), want)
+        monkeypatch.setattr(models, "_PAIR_BLOCK", 1000)
+        loss, dz = models.link_loss_sampled(z, pos, neg, 80000)
+        assert loss == want_loss and np.array_equal(dz, want_dz)
+
+    @given(n=st.integers(1, 12), n_pos=st.integers(1, 60), n_neg=st.integers(1, 300),
+           width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           chunk=st.sampled_from([7, 512]), block=st.sampled_from([30, 16384]))
+    def test_sampled_matches_whole_side_reference(self, n, n_pos, n_neg, width, seed, chunk, block):
+        # keys drawn from n*n pairs with replacement repeat often; neither
+        # side need be symmetric or sorted
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, n * n, size=n_pos)
+        neg = rng.integers(0, n * n, size=n_neg)
+        z = rng.standard_normal((n, width)) * rng.choice([0.1, 3.0, 40.0])
+        n_neg_total = int(rng.integers(1, 10 * n * n + 1))
+        want_loss, want_dz = _whole_side_link_loss_sampled(z, pos, neg, n_neg_total)
+        with mock.patch.object(models, "_PAIR_CHUNK", chunk), \
+                mock.patch.object(models, "_PAIR_BLOCK", block):
+            loss, dz = models.link_loss_sampled(z, pos, neg, n_neg_total)
+        assert loss == want_loss and np.array_equal(dz, want_dz)
+
+    def test_sampled_holds_under_32_bytes_per_pair(self):
+        # a side holds its sorted keys, int32 columns, logits and gradients
+        # (28 bytes per pair); the rest is made a block at a time or is n x
+        # width. The whole-side reference holds about 44 bytes per pair here
+        rng = Rng(6)
+        n = 4000
+        pos = np.unique(rng.integers(0, n * n, size=60000))
+        neg = rng.integers(0, n * n, size=5 * pos.size)
+        z = rng.randn(n, 8) * 0.3
+        peak = traced_peak(models.link_loss_sampled, z, pos, neg, n * n - pos.size)
+        assert peak <= 32 * (pos.size + neg.size)
+
+
+def _whole_side_link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
+    """The sampled loss with whole-side temporaries, the reference for the
+    blocked one: rows and columns of every pair, then the logits a chunk
+    at a time, then the sigmoid and the softplus over the whole side."""
+    n = z_in.shape[0]
+    scale = n_neg_total / float(n * n)
+    loss = 0.0
+    dz = np.zeros(z_in.shape)
+    for keys, target in ((pos_keys, 1.0), (neg_keys, 0.0)):
+        keys = np.sort(keys)
+        rows, cols = np.divmod(keys, n)
+        x = np.empty(rows.size)
+        for s in range(0, rows.size, 512):
+            x[s:s + 512] = np.einsum("ij,ij->i", z_in[rows[s:s + 512]], z_in[cols[s:s + 512]])
+        g = scale * (sigmoid(x) - target) / x.size
+        x *= 1.0 - 2.0 * target
+        loss += float(softplus(x, out=x).mean())
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        grad = sp.csr_matrix((g, cols, indptr), shape=(n, n))
+        dz += grad @ z_in
+        dz += grad.T @ z_in
+    return scale * loss, dz
 
 
 # ---------------------------------------------------------------- encoder
+
+
+def _two_array_cache_encoder(lap, lx, w0, w1, dz):
+    """The encoder with a (pre-activation, ReLU output) cache, the reference
+    for the one-array cache: returns (Z, dW0, dW1)."""
+    pre = matmul(lx, w0)
+    hidden = relu(pre)
+    z = spmm(lap, matmul(hidden, w1))
+    dmix = spmm(lap, dz)
+    dpre = relu_backward(matmul(dmix, w1.T), pre)
+    return z, matmul(lx.T, dpre), matmul(hidden.T, dmix)
+
+
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), width=st.integers(1, 6),
+       hidden=st.integers(1, 8), nans=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_encoder_matches_two_array_cache_reference(n, density, width, hidden, nans, seed):
+    # the ReLU output is positive exactly where its input is, NaN in neither,
+    # so the mask taken from it gives the same bits; a NaN weight puts NaN
+    # pre-activations into whole columns
+    rng = np.random.default_rng(seed)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    lap = normalize_adjacency(Graph(n=n, edges=edges, attributes={}))
+    lx = spmm(lap, rng.standard_normal((n, width)))
+    w0 = rng.standard_normal((width, hidden))
+    w0.flat[rng.integers(0, w0.size, size=nans)] = np.nan
+    w1 = rng.standard_normal((hidden, 3))
+    dz = rng.standard_normal((n, 3))
+    want_z, want_dw0, want_dw1 = _two_array_cache_encoder(lap, lx, w0, w1, dz)
+    z, cache = encoder_forward(lap, lx, w0, w1)
+    dw0, dw1 = encoder_backward(dz, cache, lap, lx, w1)
+    for got, want in ((z, want_z), (dw0, want_dw0), (dw1, want_dw1)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), width=st.integers(1, 7),
@@ -325,10 +408,10 @@ def test_encoder_dw0_from_cached_lx_matches_unfactored(n, density, width, hidden
     w1 = rng.standard_normal((hidden, 3))
     dz = rng.standard_normal((n, 3))
     lx = spmm(lap, x)
-    z, (pre, hid) = encoder_forward(lap, lx, w0, w1)
+    z, cache = encoder_forward(lap, lx, w0, w1)
     assert np.allclose(z, lap @ np.maximum(lap @ (x @ w0), 0.0) @ w1, rtol=1e-12, atol=1e-12)
-    dw0, _ = encoder_backward(dz, (pre, hid), lap, lx, w1)
-    dpre = relu_backward(matmul(spmm(lap, dz), w1.T), pre)
+    dw0, _ = encoder_backward(dz, cache, lap, lx, w1)
+    dpre = relu_backward(matmul(spmm(lap, dz), w1.T), matmul(lx, w0))
     want = x.T @ spmm(lap, dpre)
     scale = np.abs(x).T @ (abs(lap) @ np.abs(dpre))
     assert np.all(np.abs(dw0 - want) <= 1e-15 * scale)
@@ -350,6 +433,30 @@ def _searchsorted_negatives(batch, count, rng):
         keys = cand[:, 0] * np.int64(n) + cand[:, 1]
         idx = np.minimum(np.searchsorted(pos_keys, keys), pos_keys.size - 1)
         accepted.append(keys[pos_keys[idx] != keys])
+        have += accepted[-1].size
+    return np.concatenate(accepted)[:count]
+
+
+def _joined_blocks_negatives(batch, count, rng):
+    """The filtered rejection sampler that keeps every draw's accepted keys
+    and joins them at the end, the reference for the one preallocated
+    output; counts below 256 take one draw of 256 and trim it."""
+    n = batch.n
+    pos_keys = batch.link_keys
+    table, bits = batch.positive_filter()
+    accepted = []
+    have = 0
+    while have < count:
+        k = max(256, count - have)
+        cand = rng.integers(0, n, size=(k, 2)).astype(np.int64, copy=False)
+        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
+        hits = np.flatnonzero(table[models._key_slots(keys, bits)])
+        hits = hits[np.argsort(keys[hits])]
+        hit_keys = keys[hits]
+        idx = np.minimum(np.searchsorted(pos_keys, hit_keys), pos_keys.size - 1)
+        accept = np.ones(k, dtype=bool)
+        accept[hits[pos_keys[idx] == hit_keys]] = False
+        accepted.append(keys[accept])
         have += accepted[-1].size
     return np.concatenate(accepted)[:count]
 
@@ -396,13 +503,24 @@ class TestNegativeSampling:
             pairs = pairs[1:]           # keep one non-edge to draw
         with mock.patch.object(models, "_key_slots", self.HASHES[hash_name]):
             batch = _target_batch(n, pairs)
-            rng_a, rng_b = Rng(seed), Rng(seed)
+            rng_a, rng_b, rng_c = Rng(seed), Rng(seed), Rng(seed)
             keys = models.sample_negative_pairs(batch, count, rng_a)
+            joined = _joined_blocks_negatives(batch, count, rng_c)
+        assert keys.dtype == np.int64 and np.array_equal(keys, joined)
         assert np.array_equal(keys, _searchsorted_negatives(batch, count, rng_b))
         assert keys.size == count
         assert not np.isin(keys, batch.link_keys).any()
-        # the same number of draws: both streams continue alike
-        assert rng_a.random() == rng_b.random()
+        # the same number of draws: the streams continue alike
+        state = rng_a._gen.bit_generator.state
+        assert rng_b._gen.bit_generator.state == state == rng_c._gen.bit_generator.state
+
+    def test_zero_count_is_empty(self):
+        batch = _target_batch(5, [(0, 1), (1, 2)])
+        rng = Rng(3)
+        state = rng._gen.bit_generator.state
+        keys = models.sample_negative_pairs(batch, 0, rng)
+        assert keys.dtype == np.int64 and keys.shape == (0,)
+        assert rng._gen.bit_generator.state == state
 
     def test_dense_graph_rejects_most_candidates(self):
         # 1175 of the 1225 pairs of a 50-node graph are edges: about 96 %

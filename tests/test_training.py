@@ -1,14 +1,16 @@
 """Training loop behavior: determinism, traces, aborts, config validation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_close
+from conftest import assert_close, traced_peak
+from hypothesis import given, strategies as st
 
 from privemb import models, training
 from privemb.models import VARIANTS
-from privemb.numkit import NumericError
+from privemb.numkit import NumericError, Rng
 from privemb.training import (
     ConfigError,
     TRACE_COLUMNS,
@@ -160,6 +162,31 @@ class TestTrain:
         res = train(g, schema, quick_cfg("GAE", link_mode="exact", iterations=1))
         assert np.all(np.isfinite(res.Z))
 
+    @pytest.mark.parametrize("negs_per_pos", [1, 5])
+    def test_link_memory_check_counts_what_a_step_holds(self, monkeypatch, negs_per_pos):
+        # one sampled step, the sampler then the loss, on 400k positive
+        # keys of a 3000-node graph, where the pair arrays outweigh the
+        # n x width ones: the check must count at least its traced peak.
+        # The positives' filter belongs to the batch, made once per run, so
+        # it is made before the trace
+        rng = Rng(8)
+        n = 3000
+        keys = np.unique(rng.integers(0, n * n, size=420000))
+        batch = models.Batch(laplacian=None, features=np.zeros((n, 1)), link_keys=keys,
+                             utility={}, privacy_onehot=np.zeros((n, 2)),
+                             privacy_mask=np.arange(0))
+        batch.positive_filter()
+        z = rng.randn(n, 4) * 0.3
+
+        def step():
+            neg = models.sample_negative_pairs(batch, negs_per_pos * keys.size, Rng(1))
+            models.link_loss_sampled(z, keys, neg, n * n - keys.size)
+
+        peak = traced_peak(step)
+        monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ConfigError, match="lower negatives_per_positive"):
+            training._check_link_memory(n, keys.size, negs_per_pos)
+
     def test_holdout_respected(self, small_synth):
         g, schema = small_synth
         res = train(g, schema, quick_cfg("GAE", edge_holdout=0.3))
@@ -237,6 +264,26 @@ class TestExport:
         lines = ["z_0,z_1,z_2,z_3"] + [",".join(f"{v:.17g}" for v in row) for row in z]
         assert path.read_text() == "\n".join(lines) + "\n"
         assert np.array_equal(load_embeddings(path), z)
+
+    @given(rows=st.integers(0, 30), cols=st.integers(1, 5),
+           values=st.lists(st.floats(width=64), min_size=150, max_size=150),
+           block=st.sampled_from([7, 256]))
+    def test_matches_one_string_export(self, tmp_path_factory, rows, cols, values, block):
+        # the whole table formatted as one string, the reference for the
+        # blocks of rows, the last of them short unless the block divides rows
+        z = np.array(values[:rows * cols]).reshape(rows, cols)
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        with mock.patch.object(training, "_EXPORT_ROWS", block):
+            export_embeddings(z, path)
+        header = ",".join(f"z_{j}" for j in range(cols))
+        row = ",".join(["%.17g"] * cols) + "\n"
+        want = header + "\n" + row * rows % tuple(z.ravel().tolist())
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_export_holds_under_4_mb(self, tmp_path):
+        # formatting all 384k values as one string peaks at 22 MB
+        z = Rng(2).randn(6000, 64)
+        assert traced_peak(export_embeddings, z, tmp_path / "big.csv") <= 4 * 2**20
 
     def test_trace_export(self, small_synth, tmp_path):
         g, schema = small_synth
