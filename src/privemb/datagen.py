@@ -68,18 +68,25 @@ def synth_graph(params: SynthParams):
     m_u = params.utility_classes
 
     rng_priv = Rng(derive_seed(params.seed, "synth/private"))
-    private = np.array([(i % m_p) + 1 for i in range(n)], dtype=np.int64)
+    private = np.arange(n, dtype=np.int64) % m_p + 1
     private = private[rng_priv.permutation(n)]
 
     # one uniform per upper-triangle pair in row-major order, drawn a block
-    # of rows at a time so that memory stays O(n + m)
+    # of rows at a time so that memory stays O(n + m). As p_out <= p_in, only
+    # a draw under p_in can keep its pair: just those get their (i, j) and
+    # the per-pair comparison
     rng_edges = Rng(derive_seed(params.seed, "synth/edges"))
     step, blocks = max(1, _EDGE_BLOCK // n), []
     for s in range(0, n - 1, step):
-        iu, ju = np.nonzero(np.arange(n) > np.arange(s, min(s + step, n - 1))[:, None])
-        iu += s
-        prob = np.where(private[iu] == private[ju], params.p_in, params.p_out)
-        keep = rng_edges.random(iu.size) < prob
+        rows = np.arange(s, min(s + step, n - 1))
+        # row i holds the pairs (i, i+1..n-1); starts[r] is row s+r's offset
+        starts = np.concatenate([[0], np.cumsum(n - 1 - rows)])
+        u = rng_edges.random(int(starts[-1]))
+        flat = np.flatnonzero(u < params.p_in)
+        r = np.searchsorted(starts, flat, side="right") - 1
+        iu = rows[r]
+        ju = iu + 1 + (flat - starts[r])
+        keep = u[flat] < np.where(private[iu] == private[ju], params.p_in, params.p_out)
         blocks.append(np.column_stack([iu[keep], ju[keep]]))
     edges = np.concatenate(blocks)
 

@@ -96,7 +96,9 @@ def canonical_edges(pairs, n: int) -> np.ndarray:
     lo = pairs.min(axis=1)
     hi = pairs.max(axis=1)
     keep = lo != hi
-    keys = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    keys = np.sort(lo[keep] * np.int64(n) + hi[keep])
+    # every key is at least 1, so the first always differs from -1
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -264,16 +266,29 @@ def _scan_edges(lines, index: dict) -> list:
     return pairs
 
 
+# values per block of a written table, formatted as one string: bounds the
+# string and its tuple of Python numbers whatever the table's width
+_WRITE_VALUES = 16384
+
+
+def write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write ``row`` formatted with each row of a 2-D table, a block of rows
+    formatted as one string at a time."""
+    step = max(1, _WRITE_VALUES // max(1, table.shape[1]))
+    for s in range(0, table.shape[0], step):
+        block = table[s:s + step]
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def save_graph(g: Graph, schema: AttributeSchema, edges_path, attributes_path) -> None:
     """Write a graph in the formats ``load_graph`` reads, with dense ids."""
     with open(edges_path, "w", encoding="utf-8") as fh:
-        for u, v in g.edges:
-            fh.write(f"{int(u)}\t{int(v)}\n")
+        write_rows(fh, "%d\t%d\n", g.edges)
+    table = np.column_stack([np.arange(g.n)] + [g.attributes[name] for name in schema.names])
     with open(attributes_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id"] + list(schema.names))
-        for i in range(g.n):
-            writer.writerow([i] + [int(g.attributes[name][i]) for name in schema.names])
+        # csv quotes the names; the int rows need no quoting
+        csv.writer(fh).writerow(["node_id"] + list(schema.names))
+        write_rows(fh, ",".join(["%d"] * table.shape[1]) + "\r\n", table)
 
 
 def adjacency_with_self_loops(n: int, edges: np.ndarray) -> sp.csr_matrix:

@@ -16,6 +16,7 @@ from .graphcore import (
     normalize_adjacency,
     onehot_labels,
     split_edges,
+    write_rows,
 )
 from .models import (
     VARIANT_SPECS,
@@ -33,12 +34,12 @@ from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
-# bytes a sampled step may hold for its negatives, checked before training. It
-# counts 40 per negative: the key and the loss's sorted key, int32 column, logit
-# and gradient are 36 (the sampler peaks at 32); 4 cover what does not grow
+# bytes a sampled step may hold, checked before training. It counts 40 per
+# negative: the key and the loss's sorted key, int32 column, logit and
+# gradient are 36 (the sampler peaks at 32); 4 cover what does not grow. It
+# adds 16 per entry of the n x width decoder input: the float64 dz and the
+# sparse product beside it
 LINK_MEMORY_BUDGET = 1 << 30
-# rows per block of the embeddings CSV, formatted as one string
-_EXPORT_ROWS = 256
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
 
@@ -147,12 +148,13 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     )
 
 
-def _check_link_memory(n: int, nnz: int, negs_per_pos: int) -> None:
-    """Refuse negative pairs that would exceed LINK_MEMORY_BUDGET."""
-    need = 40 * negs_per_pos * nnz
+def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
+    """Refuse a sampled step that would exceed LINK_MEMORY_BUDGET."""
+    need = 40 * negs_per_pos * nnz + 16 * n * width
     if need > LINK_MEMORY_BUDGET:
         raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for its negative "
-                          f"pairs at n={n}, over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
+                          f"pairs and gradient at n={n}, over the "
+                          f"{LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
                           "lower negatives_per_positive")
 
 
@@ -186,7 +188,9 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     if mode == "auto":
         mode = "sampled" if g.n > SAMPLED_MODE_THRESHOLD else "exact"
     if mode == "sampled":
-        _check_link_memory(g.n, batch.link_keys.size, cfg.negs_per_pos)
+        # the decoder input's width: every utility head reads it
+        width = next(iter(state.heads.values())).shape[0]
+        _check_link_memory(g.n, width, batch.link_keys.size, cfg.negs_per_pos)
     rng_neg = Rng(derive_seed(cfg.seed, "negatives"))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
@@ -267,9 +271,7 @@ def export_embeddings(result, path) -> None:
     row = ",".join(["%.17g"] * z.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for s in range(0, z.shape[0], _EXPORT_ROWS):
-            block = z[s:s + _EXPORT_ROWS]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        write_rows(fh, row, z)
 
 
 def load_embeddings(path) -> np.ndarray:

@@ -1,10 +1,17 @@
+import os
 import tracemalloc
 
-import numpy as np
-import pytest
-from hypothesis import settings
+# One BLAS thread, as the benchmark runs, set before numpy loads: the suite
+# runs the same single-threaded products on any machine, and the gate's
+# many small fits do not fight over cores with each other or a neighbour
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from privemb.datagen import SynthParams, synth_graph
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from privemb.datagen import SynthParams, synth_graph  # noqa: E402
 
 # Property tests replay the same examples on every run, so a failure
 # reproduces and tier-1 timing stays flat.

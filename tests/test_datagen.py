@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import traced_peak
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from privemb import datagen
 from privemb.datagen import SynthParams, synth_graph, synth_schema
 from privemb.evaluation import ClassifierSpec, _classification_eval
 from privemb.graphcore import load_graph, save_graph
+from privemb.numkit import Rng, derive_seed
 from privemb.training import TrainConfig, train
 
 
@@ -101,6 +104,53 @@ def test_edge_blocks_do_not_change_the_graph(monkeypatch, block):
     got, _ = synth_graph(params)
     assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
     assert got.edges.tobytes() == want.edges.tobytes()
+
+
+def _per_pair_reference(params):
+    """synth_graph with one label test and one comparison per node pair."""
+    n, m_p, m_u = params.n, params.private_classes, params.utility_classes
+    private = np.array([(i % m_p) + 1 for i in range(n)], dtype=np.int64)
+    private = private[Rng(derive_seed(params.seed, "synth/private")).permutation(n)]
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(private[iu] == private[ju], params.p_in, params.p_out)
+    keep = Rng(derive_seed(params.seed, "synth/edges")).random(iu.size) < prob
+    edges = np.column_stack([iu[keep], ju[keep]])
+    rng_util = Rng(derive_seed(params.seed, "synth/utility"))
+    use_derived = rng_util.random(n) < params.rho
+    uniform = rng_util.integers(1, m_u + 1, size=n)
+    utility = np.where(use_derived, ((private - 1) % m_u) + 1, uniform).astype(np.int64)
+    rng_feat = Rng(derive_seed(params.seed, "synth/feature"))
+    flips = rng_feat.random(n) < params.flip_rate
+    offsets = rng_feat.integers(1, m_u, size=n)
+    feature = np.where(flips, ((utility - 1 + offsets) % m_u) + 1, utility).astype(np.int64)
+    return edges, {"private": private, "utility": utility, "feature": feature}
+
+
+@given(n=st.integers(8, 300), classes=st.sampled_from([(2, 2), (2, 4), (3, 2)]),
+       p_in=st.sampled_from([0.0, 0.02, 0.3, 1.0]), p_out=st.sampled_from(["zero", "p_in", "low"]),
+       block=st.sampled_from([1, 150, datagen._EDGE_BLOCK]), seed=st.integers(0, 2**31))
+def test_screened_draw_matches_the_per_pair_draw(n, classes, p_in, p_out, block, seed):
+    # only a draw under p_in is a candidate; keeping it on its labels' p is
+    # the per-pair comparison on the same uniform, so the same edge bytes
+    p_out = {"zero": 0.0, "p_in": p_in, "low": p_in / 7.0}[p_out]
+    params = SynthParams(n=n, private_classes=classes[0], utility_classes=classes[1],
+                         p_in=p_in, p_out=p_out, seed=seed)
+    want_edges, want_attrs = _per_pair_reference(params)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(datagen, "_EDGE_BLOCK", block)
+        g, _ = synth_graph(params)
+    assert g.edges.dtype == want_edges.dtype and g.edges.shape == want_edges.shape
+    assert g.edges.tobytes() == want_edges.tobytes()
+    assert g.attributes.keys() == want_attrs.keys()
+    for name, codes in want_attrs.items():
+        assert g.attributes[name].dtype == codes.dtype
+        assert g.attributes[name].tobytes() == codes.tobytes()
+
+
+def test_synth_holds_no_per_pair_arrays():
+    # a block's uniforms, 2 MB, and the candidates' indices; the per-pair
+    # index pairs, label tests and probabilities took 10 MB here
+    assert traced_peak(synth_graph, SynthParams(n=3000, p_in=0.01, p_out=0.001, seed=2)) < 6 * 2**20
 
 
 def test_file_roundtrip(tmp_path):

@@ -1,5 +1,8 @@
+import csv
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,7 @@ from privemb.graphcore import (
     split_edges,
     split_nodes,
 )
-from privemb import evaluation
+from privemb import evaluation, graphcore
 from privemb.evaluation import ClassifierSpec, link_eval
 from privemb.numkit import Rng, derive_seed
 from conftest import assert_close
@@ -480,3 +483,47 @@ def test_graph_roundtrip_through_files(tmp_path, small_synth):
     assert np.array_equal(g2.edges, g.edges)
     for name in schema.names:
         assert np.array_equal(g2.attributes[name], g.attributes[name])
+
+
+def _per_line_writer(g, schema, edges_path, attributes_path):
+    """save_graph one edge line and one attribute row at a time."""
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        for u, v in g.edges:
+            fh.write(f"{int(u)}\t{int(v)}\n")
+    with open(attributes_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_id"] + list(schema.names))
+        for i in range(g.n):
+            writer.writerow([i] + [int(g.attributes[name][i]) for name in schema.names])
+
+
+@given(ids=st.lists(st.integers(-10**6, 10**12), min_size=2, max_size=60, unique=True),
+       dense=st.booleans(), data=st.data(),
+       names=st.sampled_from([("status", "dept"), ('a,"b"', "dept\nline"), ("x y", "ü;z")]),
+       values=st.sampled_from([1, 7, graphcore._WRITE_VALUES]))
+def test_save_graph_writes_the_per_line_bytes(ids, dense, data, names, values):
+    # a graph loaded with dense or arbitrary node ids, from no edges up,
+    # under attribute names that CSV must quote, written in blocks of rows
+    n = len(ids)
+    if dense:
+        ids = list(range(n))
+    schema = AttributeSchema(names=names, classes={names[0]: 2, names[1]: 3},
+                             roles={names[0]: "private", names[1]: "utility"})
+    ends = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
+    codes = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                               min_size=n, max_size=n))
+    edge_text = "".join(f"{ids[a]}\t{ids[b]}\n" for a, b in pairs)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["node_id", *names])
+    writer.writerows([i, *c] for i, c in zip(ids, codes))
+    g = load_graph(io.StringIO(edge_text), io.StringIO(out.getvalue()), schema)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graphcore, "_WRITE_VALUES", values)
+            save_graph(g, schema, tmp / "e.tsv", tmp / "a.csv")
+        _per_line_writer(g, schema, tmp / "e_ref.tsv", tmp / "a_ref.csv")
+        assert (tmp / "e.tsv").read_bytes() == (tmp / "e_ref.tsv").read_bytes()
+        assert (tmp / "a.csv").read_bytes() == (tmp / "a_ref.csv").read_bytes()

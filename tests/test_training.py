@@ -8,7 +8,7 @@ import pytest
 from conftest import assert_close, traced_peak
 from hypothesis import given, strategies as st
 
-from privemb import models, training
+from privemb import graphcore, models, training
 from privemb.models import VARIANTS
 from privemb.numkit import NumericError, Rng
 from privemb.training import (
@@ -162,21 +162,18 @@ class TestTrain:
         res = train(g, schema, quick_cfg("GAE", link_mode="exact", iterations=1))
         assert np.all(np.isfinite(res.Z))
 
-    @pytest.mark.parametrize("negs_per_pos", [1, 5])
-    def test_link_memory_check_counts_what_a_step_holds(self, monkeypatch, negs_per_pos):
-        # one sampled step, the sampler then the loss, on 400k positive
-        # keys of a 3000-node graph, where the pair arrays outweigh the
-        # n x width ones: the check must count at least its traced peak.
-        # The positives' filter belongs to the batch, made once per run, so
-        # it is made before the trace
+    @staticmethod
+    def _refuses_under_a_step_peak(monkeypatch, n, width, draws, negs_per_pos):
+        # one sampled step, the sampler then the loss: the check must count
+        # at least its traced peak. The positives' filter belongs to the
+        # batch, made once per run, so it is made before the trace
         rng = Rng(8)
-        n = 3000
-        keys = np.unique(rng.integers(0, n * n, size=420000))
+        keys = np.unique(rng.integers(0, n * n, size=draws))
         batch = models.Batch(laplacian=None, features=np.zeros((n, 1)), link_keys=keys,
                              utility={}, privacy_onehot=np.zeros((n, 2)),
                              privacy_mask=np.arange(0))
         batch.positive_filter()
-        z = rng.randn(n, 4) * 0.3
+        z = rng.randn(n, width) * 0.3
 
         def step():
             neg = models.sample_negative_pairs(batch, negs_per_pos * keys.size, Rng(1))
@@ -185,7 +182,31 @@ class TestTrain:
         peak = traced_peak(step)
         monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", peak - 1)
         with pytest.raises(ConfigError, match="lower negatives_per_positive"):
-            training._check_link_memory(n, keys.size, negs_per_pos)
+            training._check_link_memory(n, width, keys.size, negs_per_pos)
+
+    @pytest.mark.parametrize("negs_per_pos", [1, 5])
+    def test_link_memory_check_counts_what_a_step_holds(self, monkeypatch, negs_per_pos):
+        # 400k positive keys of a 3000-node graph at width 4, where the
+        # pair arrays outweigh the n x width ones
+        self._refuses_under_a_step_peak(monkeypatch, 3000, 4, 420000, negs_per_pos)
+
+    def test_link_memory_check_counts_the_n_by_width_arrays(self, monkeypatch):
+        # 118k positive keys of a 6000-node graph at width 64 and one
+        # negative each: dz and the product beside it, n x 64 floats each,
+        # outweigh the pairs (about 73 bytes per negative in all)
+        self._refuses_under_a_step_peak(monkeypatch, 6000, 64, 118500, 1)
+
+    @pytest.mark.parametrize("variant,width", [("GAE", 8), ("APGE", 8 + 2), ("APGE_NOEXP", 4 + 2)])
+    def test_link_memory_check_reads_the_decoder_width(self, small_synth, monkeypatch,
+                                                      variant, width):
+        # the release (d = 8, or d_prime = 4 unexpanded), plus the two-class
+        # private one-hot where the decoder disentangles
+        g, schema = small_synth
+        seen = []
+        monkeypatch.setattr(training, "_check_link_memory",
+                            lambda n, w, nnz, k: seen.append(w))
+        train(g, schema, quick_cfg(variant, link_mode="sampled", iterations=1))
+        assert seen == [width]
 
     def test_holdout_respected(self, small_synth):
         g, schema = small_synth
@@ -273,7 +294,7 @@ class TestExport:
         # blocks of rows, the last of them short unless the block divides rows
         z = np.array(values[:rows * cols]).reshape(rows, cols)
         path = tmp_path_factory.getbasetemp() / "blocks.csv"
-        with mock.patch.object(training, "_EXPORT_ROWS", block):
+        with mock.patch.object(graphcore, "_WRITE_VALUES", block * cols):
             export_embeddings(z, path)
         header = ",".join(f"z_{j}" for j in range(cols))
         row = ",".join(["%.17g"] * cols) + "\n"
