@@ -253,6 +253,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread: output bytes must not depend on the core count
+    numkit.pin_blas_threads()
     parser = argparse.ArgumentParser(
         prog="privemb",
         description="Privacy-preserving graph embeddings and inference-attack audits.")

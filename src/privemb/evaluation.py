@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import training
 from .graphcore import EdgeSplit, InputError, canonical_edges, sample_non_edges, split_nodes
 from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy_grad
 
@@ -177,7 +178,7 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
 
 
 # memory budget of one kNN block of query rows
-_KNN_CHUNK_BYTES = 16 * 2**20
+_KNN_CHUNK_BYTES = 4 * 2**20
 
 
 def _knn_nearest(q, x, k):
@@ -331,8 +332,22 @@ def audit(z, g, schema, specs, labels: dict, seed: int, *, repeats: int, fractio
     return records
 
 
-def _pair_features(z, pairs):
-    return z[pairs[:, 0]] * z[pairs[:, 1]]
+# pairs per block of a link table: the two gathered endpoint blocks stay
+# small beside the table
+_PAIR_BLOCK = 512
+
+
+def _pair_table(z, *sides):
+    """One array of the rows z[u] * z[v], for the (u, v) pairs of each side
+    in turn, filled a block of pairs at a time."""
+    table = np.empty((sum(len(pairs) for pairs in sides), z.shape[1]))
+    at = 0
+    for pairs in sides:
+        for s in range(0, len(pairs), _PAIR_BLOCK):
+            u, v = pairs[s:s + _PAIR_BLOCK].T
+            np.multiply(z[u], z[v], out=table[at:at + len(u)])
+            at += len(u)
+    return table
 
 
 def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
@@ -344,6 +359,9 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     scores the held-out positives against the held-out negatives. Pair
     features are elementwise products of the endpoint embeddings. Codes:
     1 non-edge, 2 edge.
+
+    Each table is built once and dropped before the next; the larger one is
+    checked against training.LINK_MEMORY_BUDGET before anything is allocated.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
@@ -352,6 +370,10 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
     if len(train_pos) == 0 or len(held_pos) == 0 or len(held_neg) == 0:
         raise InputError("edge split has an empty side")
+    need = 8 * z.shape[1] * max(2 * len(train_pos), len(held_pos) + len(held_neg))
+    if need > training.LINK_MEMORY_BUDGET:
+        raise InputError(f"the link audit's pair table needs {need} bytes, over the "
+                         f"{training.LINK_MEMORY_BUDGET}-byte budget")
     taken = canonical_edges(np.vstack([train_pos, held_pos, held_neg]), n)
     free = n * (n - 1) // 2 - len(taken)
     if free < len(train_pos):
@@ -361,13 +383,12 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
                             Rng(derive_seed(seed, "link/negatives")))
     train_neg = np.stack(np.divmod(keys, n), axis=1)
 
-    x_train = np.vstack([_pair_features(z, train_pos), _pair_features(z, train_neg)])
     y_train = np.concatenate([np.full(len(train_pos), 2), np.full(len(train_neg), 1)])
-    predict = fit_classifier(spec, x_train, y_train, 2, derive_seed(seed, "link/clf"))
+    predict = fit_classifier(spec, _pair_table(z, train_pos, train_neg), y_train, 2,
+                             derive_seed(seed, "link/clf"))
 
-    x_test = np.vstack([_pair_features(z, held_pos), _pair_features(z, held_neg)])
     y_test = np.concatenate([np.full(len(held_pos), 2), np.full(len(held_neg), 1)])
-    pred = predict(x_test)
+    pred = predict(_pair_table(z, held_pos, held_neg))
     frac = 1.0 - len(held_pos) / (len(held_pos) + len(train_pos))
     return _summary(method, "link", spec, frac, [accuracy(y_test, pred)],
                     [macro_f1(y_test, pred, 2)])
@@ -394,8 +415,6 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec, *,
     ``utility_fraction``; 'fraction' trains once and re-attacks at every
     knowledge fraction.
     """
-    from .training import train  # local import keeps module load acyclic
-
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis '{axis}'")
     values = list(values)
@@ -403,7 +422,7 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec, *,
         raise ValueError("sweep needs at least one value")
     records = []
     if axis == "fraction":
-        result = train(g, schema, base_cfg)
+        result = training.train(g, schema, base_cfg)
         for f in values:
             records.extend(audit(result.Z, g, schema, [spec], {"privacy": f"fraction/{f:g}"},
                                  seed, repeats=repeats, fraction=float(f),
@@ -420,7 +439,7 @@ def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec, *,
                 cfg = replace(base_cfg, lam=float(value), seed=run_seed)
             else:
                 cfg = replace(base_cfg, d_prime=int(value), seed=run_seed)
-            result = train(g, schema, cfg)
+            result = training.train(g, schema, cfg)
             runs.append(audit(result.Z, g, schema, [spec], labels, run_seed,
                               split=result.edge_split, repeats=1, fraction=fraction,
                               utility_fraction=utility_fraction, method=tag))

@@ -10,11 +10,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .numkit import Rng, derive_seed
+
+if TYPE_CHECKING:  # imported where a CSR matrix is built; see numkit
+    import scipy.sparse as sp
 
 
 class InputError(ValueError):
@@ -293,6 +296,8 @@ def save_graph(g: Graph, schema: AttributeSchema, edges_path, attributes_path) -
 
 def adjacency_with_self_loops(n: int, edges: np.ndarray) -> sp.csr_matrix:
     """Symmetric 0/1 adjacency over the given edges plus the identity."""
+    import scipy.sparse as sp
+
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])

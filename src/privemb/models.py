@@ -18,9 +18,9 @@ private attribute from the features.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .numkit import (
     Rng,
@@ -34,6 +34,9 @@ from .numkit import (
     softplus,
     spmm,
 )
+
+if TYPE_CHECKING:  # imported where a CSR matrix is built; see numkit
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,8 @@ def link_loss_exact(z_in, keys, pos_weight):
     the upper triangle at a time, so the call holds three blocks of
     _TRI_ROWS x n besides O(nnz) index arrays.
     """
+    import scipy.sparse as sp
+
     if not pos_weight > 0:
         raise ValueError("pos_weight must be positive")
     z_in = np.asarray(z_in, dtype=np.float64)
@@ -303,6 +308,8 @@ def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     without a sort, so that dz = G @ z_in + G.T @ z_in. A side holds 28 bytes
     per pair at full size: sorted keys, int32 columns, logits and gradients.
     """
+    import scipy.sparse as sp
+
     n = z_in.shape[0]
     scale = n_neg_total / float(n * n)
     loss = 0.0

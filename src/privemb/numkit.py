@@ -3,15 +3,20 @@
 Everything here is pure and deterministic: the same inputs and the same
 seed produce the same bits on every platform. Dense carriers are numpy
 float64 arrays, sparse carriers are scipy CSR matrices.
+
+scipy.sparse is imported only inside the functions that build or test CSR
+matrices (here ``spmm``): it adds about 20 MB of resident memory to a
+process, and no audit or synth command needs it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -20,6 +25,21 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """A kernel or a training loss produced a non-finite value."""
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, so that no product's bits
+    depend on the machine's core count. Where numpy ships no OpenBLAS that
+    exports scipy_openblas_set_num_threads64_, this does nothing and the
+    environment (OPENBLAS_NUM_THREADS) sets the count."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas*")):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return
 
 
 _DETERMINISTIC = False
@@ -49,6 +69,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def spmm(s, b: np.ndarray) -> np.ndarray:
     """Sparse (CSR) times dense."""
+    import scipy.sparse as sp
+
     if not sp.issparse(s):
         raise ShapeError("spmm expects a sparse left operand")
     b = np.asarray(b, dtype=np.float64)

@@ -38,7 +38,8 @@ SAMPLED_MODE_THRESHOLD = 3000
 # negative: the key and the loss's sorted key, int32 column, logit and
 # gradient are 36 (the sampler peaks at 32); 4 cover what does not grow. It
 # adds 16 per entry of the n x width decoder input: the float64 dz and the
-# sparse product beside it
+# sparse product beside it. The link audit checks its pair-feature table
+# against the same budget (evaluation.link_eval)
 LINK_MEMORY_BUDGET = 1 << 30
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")

@@ -2,13 +2,18 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from privemb.cli import resolve_config
+from privemb import training
+from privemb.cli import load_config, load_dataset, main, resolve_config
+from privemb.graphcore import split_edges
+from privemb.numkit import derive_seed
 from privemb.training import ConfigError, load_embeddings
 
 
@@ -153,6 +158,42 @@ class TestCommands:
         assert (out_a / "embeddings.csv").read_bytes() == \
             (out_b / "embeddings.csv").read_bytes()
 
+    def test_train_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # at n=500 OpenBLAS splits the encoder's products over two threads
+        config = write_config(tmp_path, synth={"n": 500, "p_in": 0.08, "p_out": 0.01},
+                              model={"d": 64, "hidden": 128, "T": 2})
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            r = subprocess.run([sys.executable, "-m", "privemb", "train", "--config",
+                                str(config), "--out", str(out)], capture_output=True,
+                               text=True, timeout=120,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert r.returncode == 0, r.stderr
+            outs.append((out / "embeddings.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_only_training_loads_scipy_sparse(self, tmp_path):
+        # a fresh interpreter: the test process has loaded scipy.sparse already
+        config = write_config(tmp_path)
+        emb = tmp_path / "z.csv"
+        np.savetxt(emb, np.random.default_rng(0).standard_normal((60, 4)), delimiter=",",
+                   header="z_0,z_1,z_2,z_3", comments="")
+        script = (
+            "import sys\n"
+            "from privemb.cli import main\n"
+            "conf, emb = sys.argv[1:]\n"
+            "assert 'scipy.sparse' not in sys.modules, 'import'\n"
+            "for command in ('synth', 'attack', 'eval-attr', 'eval-link'):\n"
+            "    extra = [] if command == 'synth' else ['--embeddings', emb]\n"
+            "    assert main([command, '--config', conf] + extra) == 0, command\n"
+            "    assert 'scipy.sparse' not in sys.modules, command\n"
+            "assert main(['train', '--config', conf]) == 0\n"
+            "assert 'scipy.sparse' in sys.modules, 'train'\n")
+        r = subprocess.run([sys.executable, "-c", script, str(config), str(emb)],
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+
     def test_apge_accepts_adversarial_keys(self, tmp_path):
         config = write_config(tmp_path, model={"variant": "APGE", "d": 8,
                                                "d_prime": 4, "lambda": 1.0,
@@ -294,6 +335,29 @@ class TestExitCodes:
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 2, r.stderr
         assert "non-edges" in r.stderr
+
+    def test_oversized_link_table_is_refused_before_allocating(self, tmp_path, monkeypatch,
+                                                               capsys):
+        config = write_config(tmp_path, synth={"n": 300})
+        g, _ = load_dataset(resolve_config(load_config(config)))
+        split = split_edges(g, 0.15, derive_seed(3, "edges"))
+        width = 256
+        need = 8 * width * 2 * len(split.train_edges)
+        emb = tmp_path / "z.csv"
+        np.savetxt(emb, np.random.default_rng(0).standard_normal((g.n, width)), delimiter=",",
+                   header=",".join(f"z_{j}" for j in range(width)), comments="")
+        monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", need - 1)
+        tracemalloc.start()
+        try:
+            code = main(["eval-link", "--config", str(config), "--embeddings", str(emb)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+        assert f"{need} bytes" in err and f"{need - 1}-byte budget" in err, err
+        assert peak < need / 10
 
     def test_one_labeled_private_node_is_input_error(self, tmp_path):
         n = 12

@@ -9,6 +9,7 @@ from conftest import adam_reference, assert_close, traced_peak
 from hypothesis import given, strategies as st
 
 from privemb import evaluation
+from privemb.datagen import SynthParams, synth_graph
 from privemb.evaluation import (
     REPORT_COLUMNS,
     ClassifierSpec,
@@ -212,6 +213,14 @@ class TestClassifiers:
                 evaluation._KNN_CHUNK_BYTES = saved
         assert np.array_equal(got, want)
 
+    def test_knn_peak_stays_under_half_the_block_budget(self):
+        # 1000 training rows of width 64: 65 query rows per 4 MiB block
+        rng = Rng(6)
+        x = rng.randn(1000, 64)
+        q = rng.randn(1000, 64)
+        assert evaluation._KNN_CHUNK_BYTES == 4 * 2**20
+        assert traced_peak(evaluation._knn_nearest, q, x, 5) < evaluation._KNN_CHUNK_BYTES // 2
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             fit_classifier(ClassifierSpec(), np.ones((3, 2)),
@@ -364,6 +373,28 @@ class TestLinkEval:
         z = Rng(8).randn(12, 4)
         assert link_eval(z, split, ClassifierSpec(), seed=1) == \
             link_eval(z, split, ClassifierSpec(), seed=1)
+
+    @pytest.mark.parametrize("block", [7, 512])
+    def test_pair_table_rows_are_products(self, monkeypatch, block):
+        # 40 and 33 pairs: with blocks of 7 both sides end in a short block
+        monkeypatch.setattr(evaluation, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((30, 5))
+        a = rng.integers(0, 30, size=(40, 2))
+        b = rng.integers(0, 30, size=(33, 2))
+        want = np.vstack([z[a[:, 0]] * z[a[:, 1]], z[b[:, 0]] * z[b[:, 1]]])
+        assert evaluation._pair_table(z, a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "softmax"])
+    def test_link_eval_peak_is_about_one_table(self, kind):
+        # the training table is two rows of width 64 per training edge; the
+        # held-out table is smaller and built after it is dropped
+        g, _ = synth_graph(SynthParams(n=1500, p_in=0.02, p_out=0.002, seed=3))
+        split = split_edges(g, 0.15, 5)
+        z = Rng(1).randn(g.n, 64)
+        table = 2 * len(split.train_edges) * 64 * 8
+        peak = traced_peak(link_eval, z, split, ClassifierSpec(kind=kind, steps=2))
+        assert peak < 1.4 * table
 
     def test_task_and_fraction(self):
         g = clique_pair_graph()
