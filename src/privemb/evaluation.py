@@ -360,8 +360,9 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     features are elementwise products of the endpoint embeddings. Codes:
     1 non-edge, 2 edge.
 
-    Each table is built once and dropped before the next; the larger one is
-    checked against training.LINK_MEMORY_BUDGET before anything is allocated.
+    Each table is built once and dropped before the next, save that kNN's
+    predictor keeps the training one: what is held at once is checked
+    against training.LINK_MEMORY_BUDGET before anything is allocated.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
@@ -370,7 +371,8 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
     if len(train_pos) == 0 or len(held_pos) == 0 or len(held_neg) == 0:
         raise InputError("edge split has an empty side")
-    need = 8 * z.shape[1] * max(2 * len(train_pos), len(held_pos) + len(held_neg))
+    tables = (2 * len(train_pos), len(held_pos) + len(held_neg))
+    need = 8 * z.shape[1] * (sum(tables) if spec.kind == "knn" else max(tables))
     if need > training.LINK_MEMORY_BUDGET:
         raise InputError(f"the link audit's pair table needs {need} bytes, over the "
                          f"{training.LINK_MEMORY_BUDGET}-byte budget")

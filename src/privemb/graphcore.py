@@ -8,8 +8,10 @@ around as ``Graph.node_ids``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+import warnings
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -130,143 +132,103 @@ class Graph:
             self.attributes[name] = codes
 
 
-def _open_maybe(src, mode="r"):
-    if hasattr(src, "read"):
-        return src, False
-    return open(Path(src), mode, encoding="utf-8", newline=""), True
+def _text(src):
+    """``src`` if it is a text handle, else the file it names, opened."""
+    return nullcontext(src) if hasattr(src, "read") else open(src, encoding="utf-8", newline="")
 
 
 def load_graph(edge_src, attribute_src, schema: AttributeSchema) -> Graph:
-    """Load a graph from an edge list and an attribute table.
-
-    Edge file: UTF-8 text, one edge per line as two base-10 integers
-    separated by a tab; lines starting with '#' are comments. Self-loops are
-    dropped and duplicate edges collapse. Attribute file: CSV with header
-    ``node_id,<attr>,...``; every schema attribute must appear, codes are
-    integers in 0..M with 0 meaning missing.
-    """
-    fh, close = _open_maybe(attribute_src)
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    """Load a graph from an edge list and an attribute table, paths or text
+    handles. Edge file: two node ids per line, tab-separated; self-loops are
+    dropped and duplicates collapse. Attribute file: a CSV header
+    ``node_id,<attr>,...`` naming every schema attribute, then one row of
+    integers per node; codes run 0..M with 0 meaning missing."""
+    with _text(attribute_src) as fh:
+        # a line at a time, so that the handle can tell where the rows start
+        reader = csv.reader(iter(fh.readline, ""))
+        header = next(reader, None)
+        if header is None:
             raise InputError("attribute file is empty")
         header = [h.strip() for h in header]
         if not header or header[0] != "node_id":
             raise InputError("attribute header must start with 'node_id'")
-        cols = header[1:]
-        if set(cols) != set(schema.names):
+        if set(header[1:]) != set(schema.names):
             raise InputError("attribute columns do not match the schema")
-        index = {}
-        raw_ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"attribute line {lineno}: expected {len(header)} fields")
-            try:
-                node = int(row[0])
-                codes = [int(c) for c in row[1:]]
-            except ValueError:
-                raise InputError(f"attribute line {lineno}: non-integer value")
-            if node in index:
-                raise InputError(f"attribute line {lineno}: duplicate node id {node}")
-            index[node] = len(raw_ids)
-            raw_ids.append(node)
-            rows.append(codes)
-    finally:
-        if close:
-            fh.close()
-    if not raw_ids:
-        raise InputError("attribute file declares no nodes")
+        table, line_of = _read_table(fh, "attribute", ",", np.int64, reader.line_num + 1,
+                                     len(header))
+        ids = table[:, 0]
+        n = ids.size
+        if n == 0:
+            raise InputError("attribute file declares no nodes")
+        # the files save_graph writes need no id map
+        dense = np.array_equal(ids, np.arange(n))
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if repeats.size:
+            row = repeats.min()
+            raise InputError(f"attribute line {line_of(row)}: duplicate node id {ids[row]}")
+        m = np.array([schema.classes[name] for name in header[1:]])
+        bad = (table[:, 1:] < 0) | (table[:, 1:] > m)
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise InputError(f"attribute line {line_of(row)}: code {table[row, j + 1]} of "
+                             f"'{header[j + 1]}' out of range 0..{m[j]}")
 
-    n = len(raw_ids)
-    attributes = {}
-    for j, name in enumerate(cols):
-        m = schema.classes[name]
-        col = np.array([r[j] for r in rows], dtype=np.int64)
-        bad = (col < 0) | (col > m)
-        if np.any(bad):
-            where = int(np.where(bad)[0][0])
-            raise InputError(
-                f"attribute '{name}': code {int(col[where])} out of range 0..{m} "
-                f"for node {raw_ids[where]}")
-        attributes[name] = col
+    with _text(edge_src) as fh:
+        ends, line_of = _read_table(fh, "edge", "\t", np.int64, 1, 2, "two tab-separated integers")
+        if dense:
+            pairs, unknown = ends, (ends < 0) | (ends >= n)
+        else:
+            at = np.minimum(np.searchsorted(sorted_ids, ends), n - 1)
+            pairs, unknown = order[at], sorted_ids[at] != ends
+        if unknown.any():
+            row, col = np.argwhere(unknown)[0]
+            raise InputError(f"edge line {line_of(row)}: unknown node id {ends[row, col]}")
 
-    fh, close = _open_maybe(edge_src)
-    try:
-        lines = list(fh)
-    finally:
-        if close:
-            fh.close()
-    pairs = _bulk_edges(lines, raw_ids)
-    if pairs is None:
-        pairs = _scan_edges(lines, index)
-
-    edges = canonical_edges(pairs, n)
-    ordered = {name: attributes[name] for name in schema.names}
-    return Graph(n=n, edges=edges, attributes=ordered, node_ids=tuple(raw_ids))
+    attributes = {name: table[:, header.index(name)].copy() for name in schema.names}
+    return Graph(n=n, edges=canonical_edges(pairs, n), attributes=attributes,
+                 node_ids=tuple(ids.tolist()))
 
 
-# the bytes a data line may hold for the bulk edge reader, so that its form
-# does not rest on the details of np.loadtxt's parser; a line with any other
-# (`1_000`, non-ASCII digits, an inline '#', a lone '\r') goes, with its
-# whole file, to the line scan, which accepts some of them
-_BULK_BYTES = b"0123456789+- \t\n"
+def _read_table(fh, what: str, delimiter: str, dtype, line=1, width=None, form=None):
+    """The table of ``dtype`` values in ``fh`` from its position on, which
+    is line ``line`` of the file, and a function from a row's index to its
+    line number. Every row holds ``width`` values, or as many as the first.
+    np.loadtxt parses the table in bulk (README has the grammar). Only if
+    that fails is the file read again, a line at a time, to name the first
+    bad line in an InputError; ``form`` says there what a row should hold."""
+    start = fh.tell()
 
+    def data_lines():
+        # each line np.loadtxt reads as a row, with its text sans comment and line end
+        fh.seek(start)
+        for i, raw in enumerate(fh, start=line):
+            text = raw.split("#", 1)[0].removesuffix("\n").removesuffix("\r")
+            if text:
+                yield i, raw, text
 
-def _bulk_edges(lines, raw_ids):
-    """Dense (u, v) rows of the edge lines, parsed in bulk, or None when the
-    file needs the line scan: a line outside the bulk form or an unknown id.
-
-    The bulk form is a subset of what the scan accepts, with equal values:
-    blank and comment lines are dropped exactly as the scan skips them, and
-    np.loadtxt reads a field of spaces, one sign and ASCII digits as int()
-    does and rejects the other fields of those bytes.
-    """
-    data = [ln for ln in lines if ln.strip(" \r\n")[:1] not in ("", "#")]
-    if not data:
-        return np.empty((0, 2), dtype=np.int64)
-    text = "".join(data).replace("\r\n", "\n")
-    if not text.isascii() or text.encode().translate(None, _BULK_BYTES):
-        return None
-    try:
-        ids = np.array(raw_ids, dtype=np.int64)
-        ends = np.loadtxt(data, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if ends.shape[1] != 2:
-        return None
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    at = np.minimum(np.searchsorted(sorted_ids, ends), ids.size - 1)
-    if not np.array_equal(sorted_ids[at], ends):
-        return None
-    return order[at]
-
-
-def _scan_edges(lines, index: dict) -> list:
-    """Dense (u, v) pairs of the edge lines, one line at a time; raises
-    InputError naming the first bad line."""
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InputError(f"edge line {lineno}: expected two tab-separated integers")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty table is no error here
         try:
-            a, b = int(parts[0]), int(parts[1])
+            table = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, ndmin=2)
         except ValueError:
-            raise InputError(f"edge line {lineno}: non-integer endpoint")
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise InputError(f"edge line {lineno}: unknown node id {missing}")
-        pairs.append((index[a], index[b]))
-    return pairs
+            table = None
+    if table is None or table.size and width not in (None, table.shape[1]):
+        for i, raw, text in data_lines():
+            count = text.count(delimiter) + 1
+            width = width or count
+            if count != width:
+                raise InputError(f"{what} line {i}: {count} values, expected {form or width}")
+            try:
+                np.loadtxt([raw], dtype=dtype, delimiter=delimiter)
+            except ValueError:
+                raise InputError(f"{what} line {i}: " + ("non-numeric value" if dtype is np.float64
+                                                         else "a value is not a 64-bit integer"))
+        raise InputError(f"{what} file does not parse as a table")
+    # an empty table comes back with one column
+    return (table.reshape(-1, width or table.shape[1]),
+            lambda row: next(islice(data_lines(), row, None))[0])
 
 
 # values per block of a written table, formatted as one string: bounds the

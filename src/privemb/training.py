@@ -12,6 +12,7 @@ from .graphcore import (
     EdgeSplit,
     Graph,
     InputError,
+    _read_table,
     build_features,
     normalize_adjacency,
     onehot_labels,
@@ -276,40 +277,15 @@ def export_embeddings(result, path) -> None:
 
 
 def load_embeddings(path) -> np.ndarray:
-    """Read an embeddings CSV: a header line, then one row of floats per node.
-
-    A non-numeric, ragged or non-finite row raises InputError naming the
-    first bad line.
-    """
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        raise InputError(_first_bad_embedding_line(path))
-    return data
-
-
-def _first_bad_embedding_line(path) -> str:
-    """Describe the first data line of an embeddings CSV that does not hold
-    as many finite floats as the first data line."""
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        next(fh, None)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values = [float(v) for v in line.split(",")]
-            except ValueError:
-                return f"embeddings line {lineno}: non-numeric value"
-            width = len(values) if width is None else width
-            if len(values) != width:
-                return f"embeddings line {lineno}: {len(values)} values, expected {width}"
-            if not all(np.isfinite(values)):
-                return f"embeddings line {lineno}: non-finite value"
-    return "embeddings file is not a table of floats"
+    """Read an embeddings CSV: a header line, then one row of floats per
+    node. A bad or non-finite row raises InputError naming its line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        z, line_of = _read_table(fh, "embeddings", ",", np.float64, line=2)
+        bad = ~np.isfinite(z).all(axis=1)
+        if bad.any():
+            raise InputError(f"embeddings line {line_of(int(np.argmax(bad)))}: non-finite value")
+    return z
 
 
 def export_trace(trace, path) -> None:

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from privemb import training
 from privemb.cli import load_config, load_dataset, main, resolve_config
-from privemb.graphcore import split_edges
+from privemb.graphcore import AttributeSchema, load_graph, split_edges
 from privemb.numkit import derive_seed
 from privemb.training import ConfigError, load_embeddings
 
@@ -397,6 +398,120 @@ class TestExitCodes:
         config = write_config(tmp_path, model={"lambda": 1.0})
         r = run_cli("train", "--config", str(config))
         assert r.returncode == 1
+
+
+# --------------------------------------------------------------- input forms
+
+# head, first data line and the other data lines of three files that load
+_PLAIN = {
+    "edges": ("", "0\t1\n", "".join(f"{i}\t{i + 1}\n" for i in range(1, 11)) + "0\t6\n3\t9\n"),
+    "attributes": ("node_id,private,utility\n", "0,1,1\n",
+                   "".join(f"{i},{1 + i % 2},{1 + i // 2 % 2}\n" for i in range(1, 12))),
+    "embeddings": ("z_0,z_1\n", "0.5,-1.25\n", "".join(f"{i}.5,-{i}.25\n" for i in range(1, 12))),
+}
+
+# one file in another form, written from {head} and {rest}; the exit code of
+# `attack` and a part of its one stderr line. The marked rows read otherwise
+# before the reader was one strict table reader.
+INPUT_FORMS = [
+    ("edges", "+0\t+1\n{rest}", 0, ""),
+    ("edges", "00\t01\n{rest}", 0, ""),
+    ("edges", " 0 \t 1 \n{rest}", 0, ""),
+    ("edges", "# a comment\n0\t1\n{rest}", 0, ""),
+    ("edges", "\n0\t1\n{rest}", 0, ""),
+    ("edges", "0\t1\r\n{rest}", 0, ""),
+    ("edges", "0\t1 # inline\n{rest}", 0, ""),  # refused before
+    ("edges", "  # indented\n0\t1\n{rest}", 2, "edge line 1:"),  # accepted before
+    ("edges", " \n0\t1\n{rest}", 2, "edge line 1:"),  # accepted before
+    ("edges", "0_0\t1\n{rest}", 2, "edge line 1:"),  # accepted before
+    ("edges", "٠\t1\n{rest}", 2, "edge line 1:"),  # accepted before
+    ("edges", "0 1\n{rest}", 2, "expected two tab-separated"),
+    ("edges", "0\t1e0\n{rest}", 2, "edge line 1:"),
+    ("edges", "0\t1\t2\n{rest}", 2, "edge line 1:"),
+    ("edges", "0\t1\n{rest}0\t\n", 2, "edge line 14:"),
+    ("edges", "0\t99\n{rest}", 2, "edge line 1: unknown node id 99"),
+    ("edges", "-1\t1\n{rest}", 2, "edge line 1: unknown node id -1"),
+    ("edges", "0\t99999999999999999999\n{rest}", 2, "edge line 1:"),
+    ("attributes", "{head}+0,+1,1\n{rest}", 0, ""),
+    ("attributes", "{head}00,01,1\n{rest}", 0, ""),
+    ("attributes", "{head} 0 , 1 , 1 \n{rest}", 0, ""),
+    ("attributes", "{head}# a comment\n0,1,1\n{rest}", 0, ""),  # refused before
+    ("attributes", "{head}\n0,1,1\n{rest}", 0, ""),
+    ("attributes", "node_id,private,utility\r\n0,1,1\r\n{rest}", 0, ""),
+    ("attributes", '{head}"0",1,1\n{rest}', 2, "attribute line 2:"),  # accepted before
+    ("attributes", "{head}0_0,1,1\n{rest}", 2, "attribute line 2:"),  # accepted before
+    ("attributes", "{head}0 1 1\n{rest}", 2, "attribute line 2:"),
+    ("attributes", "{head}0,1e0,1\n{rest}", 2, "attribute line 2:"),
+    ("attributes", "{head}0,1\n{rest}", 2, "attribute line 2:"),
+    ("attributes", "{head}0,1,1\n0,2,2\n{rest}0,1,1\n", 2,
+     "attribute line 3: duplicate node id 0"),
+    ("attributes", "{head}0,x,1\n{rest}", 2, "attribute line 2:"),
+    ("attributes", "{head}0,99999999999999999999,1\n{rest}", 2,
+     "attribute line 2:"),  # a traceback and exit 1 before
+    ("attributes", "{head}99999999999999999999,1,1\n{rest}", 2,
+     "attribute line 2:"),  # an unknown edge id before
+    ("attributes", "{head}0,3,1\n{rest}", 2, "out of range"),
+    ("embeddings", "{head}+0.5,-1.25\n{rest}", 0, ""),
+    ("embeddings", "{head} 0.5 , -1.25 \n{rest}", 0, ""),
+    ("embeddings", "{head}5e-1,-125e-2\n{rest}", 0, ""),
+    ("embeddings", "{head}# a comment\n0.5,-1.25\n{rest}", 0, ""),
+    ("embeddings", "{head}\n0.5,-1.25\n{rest}", 0, ""),
+    ("embeddings", "{head}0.5,-1.25\r\n{rest}", 0, ""),
+    ("embeddings", "{head}0.5,-1.25 # inline\n{rest}", 0, ""),
+    ("embeddings", "{head}0.5 -1.25\n{rest}", 2, "embeddings line 2: non-numeric"),
+    ("embeddings", "{head}0.5,-1.25\n1.5\n{rest}", 2, "embeddings line 3: 1 values, expected 2"),
+    ("embeddings", "{head}abc,-1.25\n{rest}", 2, "embeddings line 2: non-numeric"),
+    ("embeddings", "{head}0_5,-1.25\n{rest}", 2, "embeddings"),
+    ("embeddings", "{head}0.5,-1.25\n \n{rest}", 2, "embeddings"),
+    ("embeddings", "{head}nan,-1.25\n{rest}", 2, "embeddings line 2: non-finite"),
+    ("embeddings", "{head}0.5,-inf\n{rest}", 2, "embeddings line 2: non-finite"),
+    ("embeddings", "{head}", 2, "embeddings have 0 rows"),  # and a warning before
+    ("embeddings", "", 2, "embeddings have 0 rows"),  # and a warning before
+]
+
+
+def _write_inputs(folder, form=None):
+    """The three input files, plain or with one of them in ``form``."""
+    folder.mkdir()
+    paths = {}
+    for name, (head, first, rest) in _PLAIN.items():
+        text = head + first + rest
+        if form is not None and form[0] == name:
+            text = form[1].format(head=head, rest=rest)
+        paths[name] = folder / name
+        paths[name].write_text(text, encoding="utf-8", newline="")
+    return paths
+
+
+_SCHEMA = {"private": {"classes": 2, "role": "private"},
+           "utility": {"classes": 2, "role": "utility"}}
+
+
+def _loaded(paths):
+    g = load_graph(paths["edges"], paths["attributes"], AttributeSchema.from_config(_SCHEMA))
+    return g.edges, g.node_ids, g.attributes, load_embeddings(paths["embeddings"])
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS, ids=lambda form: repr(form[:2]))
+def test_input_forms(tmp_path, capsys, form):
+    paths = _write_inputs(tmp_path / "in", form)
+    config = write_config(tmp_path, synth=None, eval={"repeats": 1}, data={
+        "edges": str(paths["edges"]), "attributes": str(paths["attributes"]), "schema": _SCHEMA})
+    # outside pytest a warning prints to stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["attack", "--config", str(config), "--embeddings", str(paths["embeddings"])])
+    err = capsys.readouterr().err
+    _, _, want_code, message = form
+    assert code == want_code, err
+    if code:
+        assert err.startswith("input error:") and err.count("\n") == 1 and message in err, err
+    else:
+        assert err == ""
+        got, want = _loaded(paths), _loaded(_write_inputs(tmp_path / "plain"))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert all(np.array_equal(got[2][k], want[2][k]) for k in want[2])
+        assert np.array_equal(got[3], want[3])
 
 
 def test_data_section_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from conftest import adam_reference, assert_close, traced_peak
 from hypothesis import given, strategies as st
 
-from privemb import evaluation
+from privemb import evaluation, training
 from privemb.datagen import SynthParams, synth_graph
 from privemb.evaluation import (
     REPORT_COLUMNS,
@@ -395,6 +395,17 @@ class TestLinkEval:
         table = 2 * len(split.train_edges) * 64 * 8
         peak = traced_peak(link_eval, z, split, ClassifierSpec(kind=kind, steps=2))
         assert peak < 1.4 * table
+
+    def test_memory_check_counts_both_tables_for_knn(self, monkeypatch):
+        # 24 training edges and 6 held out: tables of 48 and 12 rows; kNN's
+        # predictor keeps the first while the second is built
+        g = clique_pair_graph()
+        split = split_edges(g, 0.2, 3)
+        z = Rng(8).randn(12, 4)
+        monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", 8 * 4 * 48)
+        link_eval(z, split, ClassifierSpec(kind="mlp", steps=2), seed=1)
+        with pytest.raises(InputError, match=f"needs {8 * 4 * 60} bytes"):
+            link_eval(z, split, ClassifierSpec(kind="knn"), seed=1)
 
     def test_task_and_fraction(self):
         g = clique_pair_graph()

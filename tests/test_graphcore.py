@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,8 +15,6 @@ from privemb.graphcore import (
     AttributeSchema,
     Graph,
     InputError,
-    _bulk_edges,
-    _scan_edges,
     adjacency_with_self_loops,
     build_features,
     canonical_edges,
@@ -28,9 +27,10 @@ from privemb.graphcore import (
     split_nodes,
 )
 from privemb import evaluation, graphcore
+from privemb.datagen import SynthParams, synth_graph
 from privemb.evaluation import ClassifierSpec, link_eval
 from privemb.numkit import Rng, derive_seed
-from conftest import assert_close
+from conftest import assert_close, traced_peak
 
 SCHEMA = AttributeSchema(
     names=("status", "dept"),
@@ -99,48 +99,64 @@ _KNOWN = st.sampled_from(["10", "11", "12", "+10", "012"])
 
 @st.composite
 def _edge_file_line(draw):
-    """(line, bulk): one edge-file line without its terminator, and whether
-    the bulk reader must take it: an edge of known ids, a comment or a
-    blank line, with spaces around."""
+    """One edge-file line without its terminator: an edge of known ids with
+    spaces around them, a comment, a blank line, or a form the reader refuses
+    or reads otherwise than int() per field."""
     kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "odd"]))
     if kind == "edge":
         a, b = draw(_KNOWN), draw(_KNOWN)
-        return draw(_SPACES) + a + draw(_SPACES) + "\t" + draw(_SPACES) + b + draw(_SPACES), True
+        return draw(_SPACES) + a + draw(_SPACES) + "\t" + draw(_SPACES) + b + draw(_SPACES)
     if kind == "comment":
-        return draw(_SPACES) + "#" + draw(st.text(st.characters(exclude_characters="\n"),
-                                                  max_size=8)), True
+        return "#" + draw(st.text(st.characters(exclude_characters="\n"), max_size=8))
     if kind == "blank":
-        return draw(_SPACES), True
-    odd = draw(st.sampled_from([
+        return ""
+    return draw(st.sampled_from([
         "10\t99", "-10\t11", "10\t11\t12", "10\t11 # inline", "1_0\t11",
         "\u0661\u0660\t11", "10\t11\t", "\t10\t11", "10 11", "10\t", "+-10\t11",
-        "10\t1e1", "\t", "10\t11\r", "99999999999999999999\t10"]))
-    return odd, False
+        "10\t1e1", "\t", "10\t11\r", "99999999999999999999\t10", " ", "  # indented"]))
+
+
+_INT64 = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _edge_reference(text, index):
+    """The dense (u, v) pairs of an edge file read a line at a time in the
+    reader's grammar, or the number of its first bad line and, for an
+    unknown id, the id: a line that does not parse comes before one that
+    names an unknown id."""
+    ends = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].removesuffix("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or "\r" in line or not all(_INT64.fullmatch(f) for f in fields):
+            return lineno, None
+        ends.append((lineno, [int(f) for f in fields]))
+        if not all(-2**63 <= v < 2**63 for v in ends[-1][1]):
+            return lineno, None
+    for lineno, pair in ends:
+        for v in pair:
+            if v not in index:
+                return lineno, v
+    return [(index[a], index[b]) for _, (a, b) in ends]
 
 
 @given(st.lists(_edge_file_line(), max_size=12), st.sampled_from(["\n", "\r\n"]),
        st.booleans())
 def test_bulk_edge_reader_matches_line_scan(lines, newline, last_newline):
-    text = newline.join(line for line, _ in lines) + (newline if last_newline else "")
-    file_lines = list(io.StringIO(text))
-    index = {10: 0, 11: 1, 12: 2}
-    try:
-        want = canonical_edges(_scan_edges(file_lines, index), 3)
-    except InputError as e:
-        want = str(e)
-    bulk = _bulk_edges(file_lines, [10, 11, 12])
-    if all(strict for _, strict in lines):
-        assert bulk is not None
-    if bulk is not None:
-        assert np.array_equal(bulk, np.array(_scan_edges(file_lines, index)).reshape(-1, 2))
-    try:
-        got = _load(text, ATTRS).edges
-    except InputError as e:
-        got = str(e)
-    if isinstance(want, str):
-        assert got == want
+    # refused forms name their line and never load other numbers
+    text = newline.join(lines) + (newline if last_newline else "")
+    want = _edge_reference(text, {10: 0, 11: 1, 12: 2})
+    if isinstance(want, tuple):
+        lineno, unknown = want
+        with pytest.raises(InputError) as err:
+            _load(text, ATTRS)
+        assert str(err.value).startswith(f"edge line {lineno}: ")
+        if unknown is not None:
+            assert str(err.value) == f"edge line {lineno}: unknown node id {unknown}"
     else:
-        assert np.array_equal(got, want)
+        assert np.array_equal(_load(text, ATTRS).edges, canonical_edges(want, 3))
 
 
 def test_schema_validation():
@@ -483,6 +499,14 @@ def test_graph_roundtrip_through_files(tmp_path, small_synth):
     assert np.array_equal(g2.edges, g.edges)
     for name in schema.names:
         assert np.array_equal(g2.attributes[name], g.attributes[name])
+
+
+def test_load_graph_holds_under_100_bytes_per_edge(tmp_path):
+    # a Python string per line of the edge file would take more than that
+    g, schema = synth_graph(SynthParams(n=3000, p_in=0.01, p_out=0.001, seed=2))
+    save_graph(g, schema, tmp_path / "edges.tsv", tmp_path / "attrs.csv")
+    peak = traced_peak(load_graph, tmp_path / "edges.tsv", tmp_path / "attrs.csv", schema)
+    assert peak < 100 * len(g.edges)
 
 
 def _per_line_writer(g, schema, edges_path, attributes_path):
