@@ -15,7 +15,7 @@ import numpy as np
 
 from . import training
 from .graphcore import EdgeSplit, InputError, canonical_edges, sample_non_edges, split_nodes
-from .numkit import Adam, Rng, derive_seed, softmax_cross_entropy_grad
+from .numkit import Adam, NumericError, Rng, derive_seed, softmax_cross_entropy_grad
 
 CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
 
@@ -96,7 +96,12 @@ def _flat_views(shapes):
     return flat, [flat[e - n:e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
 
 
-def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
+def _require_finite(name: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"{name} is not finite")
+
+
+def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     n, d = x.shape
     theta, (w, b) = _flat_views([(d, m), (m,)])
     grad, (gw, gb) = _flat_views([(d, m), (m,)])
@@ -111,6 +116,8 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
         np.matmul(x.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
         opt.step({"theta": theta}, {"theta": grad})
+    # a huge feature can leave the weights finite and only overflow v
+    _require_finite(name, theta, opt.m["theta"], opt.v["theta"])
 
     def predict(q):
         return np.argmax(q @ w + b, axis=1)
@@ -124,7 +131,7 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int):
 _MLP_TILE_ROWS = 1024
 
 
-def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
+def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     """Full-batch Adam on a one-hidden-layer ReLU network. Each step walks
     the rows in tiles of _MLP_TILE_ROWS and sums the tiles' gradients, so
     a fit of at most one tile runs the untiled operations."""
@@ -169,6 +176,7 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
             if i:
                 grad += part
         opt.step({"theta": theta}, {"theta": grad})
+    _require_finite(name, theta, opt.m["theta"], opt.v["theta"])
 
     def predict(q):
         h = np.maximum(q @ w1 + b1, 0.0)
@@ -181,7 +189,7 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int):
 _KNN_CHUNK_BYTES = 4 * 2**20
 
 
-def _knn_nearest(q, x, k):
+def _knn_nearest(q, x, k, name="fit"):
     """Indices of the k nearest training rows per query row, ties broken by
     training order.
 
@@ -194,7 +202,8 @@ def _knn_nearest(q, x, k):
     lies within twice that of the k-th smallest screened value; the slack
     below is more than twice that again. Every array a block builds holds
     at most an eighth of _KNN_CHUNK_BYTES, even when ties make every
-    training row a candidate.
+    training row a candidate. No distance exceeds 2 (|q|^2 + |x|^2): a block
+    where that is not finite for the largest |x| raises NumericError.
     """
     n, d = x.shape
     budget = _KNN_CHUNK_BYTES // 8
@@ -208,14 +217,14 @@ def _knn_nearest(q, x, k):
     for s in range(0, q.shape[0], rows):
         qb = q[s:s + rows]
         q_sq = np.einsum("ij,ij->i", qb, qb)
+        norms = q_sq + x_sq.max()
+        _require_finite(name, 2.0 * norms)
         approx = np.matmul(qb, x.T, out=block[:qb.shape[0]])
         approx *= -2.0
         approx += q_sq[:, None]
         approx += x_sq
-        bound = (np.partition(approx, k - 1, axis=1)[:, k - 1]
-                 + tol * (q_sq + x_sq.max()) + floor)
-        # a NaN from overflow compares false, so it keeps the row
-        qi, xi = np.nonzero(~(approx > bound[:, None]))
+        bound = np.partition(approx, k - 1, axis=1)[:, k - 1] + tol * norms + floor
+        qi, xi = np.nonzero(approx <= bound[:, None])
         dist = np.empty(qi.size)
         for c in range(0, qi.size, pair_rows):
             part = slice(c, c + pair_rows)
@@ -229,11 +238,11 @@ def _knn_nearest(q, x, k):
     return nearest
 
 
-def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int):
+def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     k = min(spec.k, x.shape[0])
 
     def predict(q):
-        votes = y0[_knn_nearest(q, x, k)]
+        votes = y0[_knn_nearest(q, x, k, name)]
         counts = (votes[:, :, None] == np.arange(m)).sum(axis=1)
         return np.argmax(counts, axis=1)
 
@@ -243,14 +252,16 @@ def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int):
 _FITTERS = {"softmax": _fit_softmax, "mlp": _fit_mlp, "knn": _fit_knn}
 
 
-def fit_classifier(spec: ClassifierSpec, x, labels, num_classes: int, seed: int):
+def fit_classifier(spec: ClassifierSpec, x, labels, num_classes: int, seed: int, task=""):
     """Train one battery member on codes 1..num_classes; the returned
-    predictor maps feature rows back to codes."""
+    predictor maps feature rows back to codes. A non-finite fit raises
+    NumericError naming ``task`` and the kind."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if np.any(labels < 1) or np.any(labels > num_classes):
         raise ValueError("labels must be codes in 1..num_classes")
-    inner = _FITTERS[spec.kind](x, labels - 1, num_classes, spec, seed)
+    inner = _FITTERS[spec.kind](x, labels - 1, num_classes, spec, seed,
+                                f"{task} {spec.kind} fit".lstrip())
 
     def predict(q):
         return inner(np.asarray(q, dtype=np.float64)) + 1
@@ -294,7 +305,7 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
         rep_seed = derive_seed(seed, f"rep/{r}")
         split = _split_with_redraw(mask, labels, fraction, rep_seed)
         predict = fit_classifier(spec, z[split.train], labels[split.train],
-                                 num_classes, derive_seed(rep_seed, "clf"))
+                                 num_classes, derive_seed(rep_seed, "clf"), task)
         pred = predict(z[split.test])
         accs.append(accuracy(labels[split.test], pred))
         f1s.append(macro_f1(labels[split.test], pred, num_classes))
@@ -387,7 +398,7 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
 
     y_train = np.concatenate([np.full(len(train_pos), 2), np.full(len(train_neg), 1)])
     predict = fit_classifier(spec, _pair_table(z, train_pos, train_neg), y_train, 2,
-                             derive_seed(seed, "link/clf"))
+                             derive_seed(seed, "link/clf"), "link")
 
     y_test = np.concatenate([np.full(len(held_pos), 2), np.full(len(held_neg), 1)])
     pred = predict(_pair_table(z, held_pos, held_neg))

@@ -26,7 +26,6 @@ from .numkit import (
     Rng,
     ShapeError,
     derive_seed,
-    matmul,
     relu,
     relu_backward,
     sigmoid,
@@ -205,19 +204,19 @@ def _key_slots(keys, bits: int) -> np.ndarray:
 def encoder_forward(lap, lx, w0, w1):
     """Two graph convolutions, Z = L relu(L X W0) W1, from ``lx`` = L @ X. The
     cache is relu(L X W0): positive exactly where L X W0 is, a NaN in neither."""
-    hidden = matmul(lx, w0)
+    hidden = lx @ w0
     np.maximum(hidden, 0.0, out=hidden)
-    z = spmm(lap, matmul(hidden, w1))
+    z = spmm(lap, hidden @ w1)
     return z, hidden
 
 
 def encoder_backward(dz, hidden, lap, lx, w1):
     dmix = spmm(lap, dz)
-    dw1 = matmul(hidden.T, dmix)
-    dhidden = matmul(dmix, w1.T)
+    dw1 = hidden.T @ dmix
+    dhidden = dmix @ w1.T
     dpre = relu_backward(dhidden, hidden)
     # X.T @ L @ dpre, with L symmetric (normalize_adjacency builds it so)
-    dw0 = matmul(lx.T, dpre)
+    dw0 = lx.T @ dpre
     return dw0, dw1
 
 
@@ -277,8 +276,8 @@ def link_loss_exact(z_in, keys, pos_weight):
         total += float(sp_x[:, :h].sum()) + 2.0 * float(sp_x[:, h:].sum())
         np.subtract(x, sp_x, out=x)
         np.exp(x, out=x)
-        dz[s:s + h] += matmul(x, z_in[s:])
-        dz[s + h:] += matmul(x[:, h:].T, z_in[s:s + h])
+        dz[s:s + h] += x @ z_in[s:]
+        dz[s + h:] += x[:, h:].T @ z_in[s:s + h]
     # softplus and the sigmoid are elementwise, so at the nonzeros they are
     # the kernels on x_pos
     sp_pos = softplus(x_pos)
@@ -391,9 +390,9 @@ def attr_loss(z_in, wc, onehot, mask):
 
     Returns (loss, d_z_in, d_wc).
     """
-    logits = matmul(z_in, wc)
+    logits = z_in @ wc
     loss, g = softmax_cross_entropy(logits, onehot, mask)
-    return loss, matmul(g, wc.T), matmul(z_in.T, g)
+    return loss, g @ wc.T, z_in.T @ g
 
 
 def _disc_forward(z, wd1, bd1, wd2, bd2):
@@ -455,9 +454,9 @@ def attacker_loss(z, wa, ba, onehot, mask):
 
     Returns (loss, d_z, d_wa, d_ba).
     """
-    logits = matmul(z, wa) + ba
+    logits = z @ wa + ba
     loss, g = softmax_cross_entropy(logits, onehot, mask)
-    return loss, matmul(g, wa.T), matmul(z.T, g), g.sum(axis=0)
+    return loss, g @ wa.T, z.T @ g, g.sum(axis=0)
 
 
 def obf_loss(l_recon: float, l_att, lam: float) -> float:
@@ -472,7 +471,7 @@ def obf_loss(l_recon: float, l_att, lam: float) -> float:
 def release_from_code(state: ModelState, z_code) -> np.ndarray:
     """The released embedding for a code: expanded when the variant wires
     an expansion layer, the code itself otherwise."""
-    return matmul(z_code, state.We) if state.We is not None else z_code
+    return z_code @ state.We if state.We is not None else z_code
 
 
 def release_embedding(state: ModelState, batch: Batch):
@@ -529,8 +528,8 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     l_obf = obf_loss(l_recon, l_att, lam if l_att is not None else 0.0)
 
     if state.We is not None:
-        grads["We"] = matmul(z_code.T, dz)
-        dz_code = matmul(dz, state.We.T)
+        grads["We"] = z_code.T @ dz
+        dz_code = dz @ state.We.T
     else:
         dz_code = dz
     grads["W0"], grads["W1"] = encoder_backward(dz_code, cache, batch.laplacian,

@@ -24,7 +24,7 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A kernel or a training loss produced a non-finite value."""
+    """A training step or an audit fit produced a non-finite value."""
 
 
 def pin_blas_threads() -> None:
@@ -42,31 +42,6 @@ def pin_blas_threads() -> None:
         return
 
 
-_DETERMINISTIC = False
-
-
-def set_deterministic(on: bool) -> None:
-    """Strict mode: re-validate kernel outputs for NaN/Inf after every call."""
-    global _DETERMINISTIC
-    _DETERMINISTIC = bool(on)
-
-
-def _checked(out: np.ndarray) -> np.ndarray:
-    if _DETERMINISTIC and not np.all(np.isfinite(out)):
-        raise NumericError("kernel produced a non-finite value")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-d")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _checked(a @ b)
-
-
 def spmm(s, b: np.ndarray) -> np.ndarray:
     """Sparse (CSR) times dense."""
     import scipy.sparse as sp
@@ -76,7 +51,7 @@ def spmm(s, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or s.shape[1] != b.shape[0]:
         raise ShapeError(f"spmm shape mismatch: {s.shape} x {b.shape}")
-    return _checked(np.asarray(s @ b))
+    return np.asarray(s @ b)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -152,7 +127,7 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray, pos_weight: float =
     loss = float(per.mean())
     s = sigmoid(x)
     grad = (pos_weight * t * (s - 1.0) + (1.0 - t) * s) / x.size
-    return loss, _checked(grad)
+    return loss, grad
 
 
 def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
@@ -174,7 +149,7 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
     loss = float(-(ym * logp).sum() / mask.size)
     grad = np.zeros_like(x)
     grad[mask] = (np.exp(logp) - ym) / mask.size
-    return loss, _checked(grad)
+    return loss, grad
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
@@ -203,7 +178,7 @@ def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
     np.exp(logits, out=out)
     out -= onehot
     out /= rows
-    return _checked(out)
+    return out
 
 
 class Adam(object):

@@ -31,7 +31,7 @@ from .models import (
     release_embedding,
     release_from_code,
 )
-from .numkit import Adam, NumericError, Rng, derive_seed, matmul, spmm
+from .numkit import Adam, NumericError, Rng, derive_seed, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
@@ -160,10 +160,17 @@ def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
                           "lower negatives_per_positive")
 
 
-def _require_finite(value: float, component: str, iteration: int) -> float:
-    if value is None or not np.isfinite(value):
+def _require_finite(value, component: str, iteration: int):
+    """A loss or an array, returned when every value is finite."""
+    if value is None or not np.isfinite(value).all():
         raise NumericError(f"{component} is not finite at iteration {iteration}")
     return value
+
+
+def _finite_grads(grads: dict, iteration: int) -> dict:
+    for name, g in grads.items():
+        _require_finite(g, f"gradient of {name}", iteration)
+    return grads
 
 
 def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResult:
@@ -223,7 +230,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                                                     batch.privacy_onehot,
                                                     batch.privacy_mask)
                 _require_finite(l_step, "l_att", t)
-                opt_att.step(state.attacker_params(), {"Wa": dwa, "ba": dba})
+                opt_att.step(state.attacker_params(), _finite_grads({"Wa": dwa, "ba": dba}, t))
 
         parts, grads = obfuscator_losses(state, batch, lam=lam, link_mode=mode,
                                          rng=rng_neg, negs_per_pos=cfg.negs_per_pos,
@@ -233,7 +240,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         if parts["l_att"] is not None:
             row["l_att"] = _require_finite(parts["l_att"], "l_att", t)
         row["l_obf"] = _require_finite(parts["l_obf"], "l_obf", t)
-        opt_obf.step(state.obf_params(), grads)
+        opt_obf.step(state.obf_params(), _finite_grads(grads, t))
 
         if spec.disentangles:
             z_code, hidden = encoder_forward(batch.laplacian, batch.laplacian_features(),
@@ -243,18 +250,19 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                 l_dc, dgrads, _ = disc_loss(prior, z_code, state.Wd1, state.bd1,
                                             state.Wd2, state.bd2)
                 _require_finite(l_dc, "l_dc", t)
-                opt_dis.step(state.disc_params(), dgrads)
+                opt_dis.step(state.disc_params(), _finite_grads(dgrads, t))
             row["l_dc"] = l_dc
             l_fool, dfake = gen_fool_loss(z_code, state.Wd1, state.bd1,
                                           state.Wd2, state.bd2)
             _require_finite(l_fool, "l_gen", t)
             # the W1 half of encoder_backward: the generator step moves W1 only
-            dw1 = matmul(hidden.T, spmm(batch.laplacian, dfake))
-            opt_gen.step({"W1": state.W1}, {"W1": dw1})
+            dw1 = hidden.T @ spmm(batch.laplacian, dfake)
+            opt_gen.step({"W1": state.W1}, _finite_grads({"W1": dw1}, t))
 
         trace.append(row)
 
     z_code, z = release_embedding(state, batch)
+    _require_finite(z, "the released embedding", cfg.iterations)
     return EmbeddingResult(
         Z=z,
         z_code=z_code,

@@ -149,13 +149,13 @@ class TestCommands:
             assert len(rows) > 1 and len(rows[1]) == 8
 
     def test_train_deterministic_across_processes(self, tmp_path):
+        # --deterministic is accepted and changes nothing
         config = write_config(tmp_path)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run_cli("train", "--config", str(config), "--out", str(out_a),
                        "--deterministic").returncode == 0
-        assert run_cli("train", "--config", str(config), "--out", str(out_b),
-                       "--deterministic").returncode == 0
+        assert run_cli("train", "--config", str(config), "--out", str(out_b)).returncode == 0
         assert (out_a / "embeddings.csv").read_bytes() == \
             (out_b / "embeddings.csv").read_bytes()
 
@@ -399,6 +399,47 @@ class TestExitCodes:
         r = run_cli("train", "--config", str(config))
         assert r.returncode == 1
 
+    def test_diverging_training_is_one_numeric_line(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 3, "output": str(tmp_path / "out"), "synth": {"n": 80},
+            "model": {"variant": "APGE", "T": 30, "lr": 1e300, "lr_att": 1e300,
+                      "lr_dis": 1e300}}))
+        r = run_cli("train", "--config", str(config))
+        assert r.returncode == 3, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert r.stderr.startswith("numeric failure:") and "at iteration" in r.stderr, r.stderr
+
+
+@pytest.fixture(scope="module")
+def overflowing_audit(tmp_path_factory):
+    """A GAE embedding with column 0 scaled by 1e200, and a config maker
+    for auditing it with one classifier."""
+    root = tmp_path_factory.mktemp("overflow")
+    conf = {"seed": 3, "output": str(root / "out"), "synth": {"n": 80},
+            "model": {"variant": "GAE", "T": 5, "d": 3}, "eval": {"repeats": 1}}
+    (root / "train.json").write_text(json.dumps(conf))
+    assert run_cli("train", "--config", str(root / "train.json")).returncode == 0
+    z = load_embeddings(root / "out" / "embeddings.csv")
+    z[:, 0] *= 1e200
+    training.export_embeddings(z, root / "big.csv")
+
+    def config(kind):
+        path = root / f"{kind}.json"
+        path.write_text(json.dumps(dict(conf, eval={"repeats": 1, "classifiers": [kind]})))
+        return path
+
+    return root / "big.csv", config
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp", "knn"])
+@pytest.mark.parametrize("command,task", [("attack", "privacy"), ("eval-link", "link")])
+def test_overflowing_embedding_is_one_numeric_line(overflowing_audit, command, task, kind):
+    emb, config = overflowing_audit
+    r = run_cli(command, "--config", str(config(kind)), "--embeddings", str(emb))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == f"numeric failure: {task} {kind} fit is not finite\n"
+
 
 # --------------------------------------------------------------- input forms
 
@@ -411,8 +452,10 @@ _PLAIN = {
 }
 
 # one file in another form, written from {head} and {rest}; the exit code of
-# `attack` and a part of its one stderr line. The marked rows read otherwise
-# before the reader was one strict table reader.
+# `attack` and a part of its one stderr line, which starts with the prefix
+# of that exit code. The marked rows read otherwise before the reader was
+# one strict table reader, or before every audit fit was checked for
+# non-finite values.
 INPUT_FORMS = [
     ("edges", "+0\t+1\n{rest}", 0, ""),
     ("edges", "00\t01\n{rest}", 0, ""),
@@ -465,6 +508,7 @@ INPUT_FORMS = [
     ("embeddings", "{head}0.5,-1.25\n \n{rest}", 2, "embeddings"),
     ("embeddings", "{head}nan,-1.25\n{rest}", 2, "embeddings line 2: non-finite"),
     ("embeddings", "{head}0.5,-inf\n{rest}", 2, "embeddings line 2: non-finite"),
+    ("embeddings", "{head}1e200,-1.25\n{rest}", 3, "numeric failure:"),  # exit 0 before
     ("embeddings", "{head}", 2, "embeddings have 0 rows"),  # and a warning before
     ("embeddings", "", 2, "embeddings have 0 rows"),  # and a warning before
 ]
@@ -505,7 +549,8 @@ def test_input_forms(tmp_path, capsys, form):
     _, _, want_code, message = form
     assert code == want_code, err
     if code:
-        assert err.startswith("input error:") and err.count("\n") == 1 and message in err, err
+        prefix = {2: "input error:", 3: "numeric failure:"}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1 and message in err, err
     else:
         assert err == ""
         got, want = _loaded(paths), _loaded(_write_inputs(tmp_path / "plain"))

@@ -24,7 +24,7 @@ from privemb.evaluation import (
     write_report,
 )
 from privemb.graphcore import AttributeSchema, EdgeSplit, Graph, InputError, split_edges
-from privemb.numkit import Rng, derive_seed, softmax_cross_entropy
+from privemb.numkit import NumericError, Rng, derive_seed, softmax_cross_entropy
 from privemb.training import TrainConfig
 
 
@@ -201,17 +201,28 @@ class TestClassifiers:
             x = rng.standard_normal((n, d)) * scale + shift
             q = rng.standard_normal((nq, d)) * scale + shift
         k = min(k, n)
+        if kind == "huge":
+            # every squared norm overflows, so no distance can be ranked
+            with pytest.raises(NumericError, match="knn fit is not finite"):
+                evaluation._knn_nearest(q, x, k, "knn fit")
+            return
         saved = evaluation._KNN_CHUNK_BYTES
         evaluation._KNN_CHUNK_BYTES = 8 if tiny_chunk else saved
-        # "huge" overflows to inf in both formulas, and to NaN in the screen
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.argsort(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2),
-                              axis=1, kind="stable")[:, :k]
-            try:
-                got = evaluation._knn_nearest(q, x, k)
-            finally:
-                evaluation._KNN_CHUNK_BYTES = saved
+        want = np.argsort(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2),
+                          axis=1, kind="stable")[:, :k]
+        try:
+            got = evaluation._knn_nearest(q, x, k)
+        finally:
+            evaluation._KNN_CHUNK_BYTES = saved
         assert np.array_equal(got, want)
+
+    def test_knn_refuses_distances_that_overflow(self):
+        # squared norms 5e307 and 4.1e307 are finite, but both distances to
+        # the query overflow to inf and would tie, naming row 0 for row 1
+        x = np.array([[5e153, 5e153], [5e153, 4e153]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="^knn fit is not finite$"):
+            evaluation._knn_nearest(np.array([[-5e153, -5e153]]), x, 1, "knn fit")
 
     def test_knn_peak_stays_under_half_the_block_budget(self):
         # 1000 training rows of width 64: 65 query rows per 4 MiB block

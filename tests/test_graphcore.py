@@ -474,7 +474,7 @@ def test_split_edges_partition_matches_tuple_reference(n, density, holdout, seed
     z = np.random.default_rng(seed).random((n, 3))
     fitted = []
 
-    def fit(spec, x, labels, num_classes, seed):
+    def fit(spec, x, labels, num_classes, seed, task):
         fitted.append(x)
         return lambda q: np.ones(len(q), dtype=np.int64)
 

@@ -33,7 +33,6 @@ from privemb.numkit import (
     Rng,
     ShapeError,
     bce_with_logits,
-    matmul,
     relu,
     relu_backward,
     sigmoid,
@@ -364,12 +363,12 @@ def _whole_side_link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
 def _two_array_cache_encoder(lap, lx, w0, w1, dz):
     """The encoder with a (pre-activation, ReLU output) cache, the reference
     for the one-array cache: returns (Z, dW0, dW1)."""
-    pre = matmul(lx, w0)
+    pre = lx @ w0
     hidden = relu(pre)
-    z = spmm(lap, matmul(hidden, w1))
+    z = spmm(lap, hidden @ w1)
     dmix = spmm(lap, dz)
-    dpre = relu_backward(matmul(dmix, w1.T), pre)
-    return z, matmul(lx.T, dpre), matmul(hidden.T, dmix)
+    dpre = relu_backward(dmix @ w1.T, pre)
+    return z, lx.T @ dpre, hidden.T @ dmix
 
 
 @given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), width=st.integers(1, 6),
@@ -411,7 +410,7 @@ def test_encoder_dw0_from_cached_lx_matches_unfactored(n, density, width, hidden
     z, cache = encoder_forward(lap, lx, w0, w1)
     assert np.allclose(z, lap @ np.maximum(lap @ (x @ w0), 0.0) @ w1, rtol=1e-12, atol=1e-12)
     dw0, _ = encoder_backward(dz, cache, lap, lx, w1)
-    dpre = relu_backward(matmul(spmm(lap, dz), w1.T), matmul(lx, w0))
+    dpre = relu_backward(spmm(lap, dz) @ w1.T, lx @ w0)
     want = x.T @ spmm(lap, dpre)
     scale = np.abs(x).T @ (abs(lap) @ np.abs(dpre))
     assert np.all(np.abs(dw0 - want) <= 1e-15 * scale)

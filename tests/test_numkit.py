@@ -7,36 +7,20 @@ from hypothesis import given, strategies as st
 
 from privemb.numkit import (
     Adam,
-    NumericError,
     Rng,
     ShapeError,
     bce_with_logits,
     derive_seed,
     grad_check,
-    matmul,
     relu,
     relu_backward,
     sigmoid,
-    set_deterministic,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
     softplus,
     spmm,
 )
 from conftest import adam_reference, assert_close
-
-
-def test_matmul_hand_oracle():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert_close(matmul(a, b), [[17.0], [39.0]])
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), np.ones((3, 1)))
 
 
 def test_spmm_matches_dense():
@@ -245,14 +229,6 @@ def test_cross_entropy_grad_kernel_matches_old_row_max(data, n, m):
 def test_cross_entropy_grad_kernel_checks():
     with pytest.raises(ShapeError):
         softmax_cross_entropy_grad(np.zeros((2, 3)), np.eye(2), np.empty((2, 3)), 2)
-    x = np.array([[np.nan, 0.0]])
-    y = np.array([[1.0, 0.0]])
-    set_deterministic(True)
-    try:
-        with pytest.raises(NumericError):
-            softmax_cross_entropy_grad(x, y, np.empty((1, 2)), 1)
-    finally:
-        set_deterministic(False)
 
 
 def test_adam_in_place_matches_expression():

@@ -226,10 +226,16 @@ class TestTrain:
             parts, grads = real(*args, **kwargs)
             if calls["n"] == 3:
                 parts["l_link"] = float("nan")
+            if calls["n"] == 13:
+                grads["W0"][1, 2] = float("nan")
             return parts, grads
 
         monkeypatch.setattr(training, "obfuscator_losses", sabotage)
         with pytest.raises(NumericError, match="l_link.*iteration 3"):
+            train(g, schema, quick_cfg("GAE", iterations=10))
+        # a gradient block is checked before the optimizer steps on it
+        calls["n"] = 10
+        with pytest.raises(NumericError, match="^gradient of W0 is not finite at iteration 3$"):
             train(g, schema, quick_cfg("GAE", iterations=10))
 
 
