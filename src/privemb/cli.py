@@ -19,11 +19,12 @@ from . import numkit
 from .datagen import SynthParams, synth_graph
 from .evaluation import SWEEP_AXES, ClassifierSpec, audit, sweep, write_report
 from .gradcheck import run_suite
-from .graphcore import AttributeSchema, InputError, load_graph, save_graph, split_edges
+from .graphcore import AttributeSchema, InputError, load_graph, save_graph
 from .numkit import NumericError, derive_seed
 from .training import (
     ConfigError,
     TrainConfig,
+    edge_split,
     export_embeddings,
     export_trace,
     load_embeddings,
@@ -207,8 +208,7 @@ def cmd_audit(conf: dict, args) -> int:
         raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
     out = _out_dir(conf, args)
     labels = AUDIT_LABELS[args.command]
-    split = split_edges(g, cfg.edge_holdout, derive_seed(cfg.seed, "edges")) \
-        if "link" in labels else None
+    split = edge_split(g, cfg) if "link" in labels else None
     records = audit(z, g, schema, _classifier_specs(conf), labels, conf["seed"], split=split,
                     repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
                     utility_fraction=conf["eval"]["utility_fraction"], method=cfg.variant)

@@ -50,13 +50,9 @@ def tiny_problem(variant: str, seed: int = 7):
     batch = prepare_batch(g, schema, variant, g.edges)
     spec = VARIANT_SPECS[variant]
     cfg = TrainConfig(variant=variant, d=5, hidden=6, d_prime=3 if spec.disentangles else None,
-                      lam=0.7 if spec.purges else None).resolved()
-    utility_dims = {name: schema.classes[name] for name in schema.utility_attributes}
-    state = init_state(variant, batch.features.shape[1], cfg.hidden, cfg.d,
-                       cfg.d_prime or cfg.d, utility_dims,
-                       schema.classes[schema.private_attribute],
-                       derive_seed(seed, f"state/{variant}"))
-    return g, schema, batch, cfg, state
+                      lam=0.7 if spec.purges else None,
+                      seed=derive_seed(seed, f"state/{variant}")).resolved()
+    return g, schema, batch, cfg, init_state(cfg, batch)
 
 
 def _away_from_kinks(rng, rows, cols, margin=1e-3):
@@ -113,7 +109,7 @@ def _loss_cases(seed):
     neg_keys = sample_negative_pairs(batch, 3 * batch.link_keys.size, neg_rng)
 
     def link_sampled_fn(p):
-        loss, dz = link_loss(p["z"], batch, mode="sampled", neg_keys=neg_keys)
+        loss, dz = link_loss(p["z"], batch, neg_keys)
         return loss, {"z": dz}
 
     cases.append(("loss/link_sampled", link_sampled_fn, {"z": z0.copy()}))
@@ -150,7 +146,7 @@ def _loss_cases(seed):
     cases.append(("loss/discriminator", disc_fn,
                   {k: v.copy() for k, v in dstate.items()}))
 
-    lap, lx = batch.laplacian, batch.laplacian_features()
+    lap, lx = batch.laplacian, batch.lx
     enc = {"W0": state.W0.copy(), "W1": state.W1.copy()}
 
     def disc_chain_fn(p):
@@ -180,7 +176,7 @@ def _obfuscator_cases(seed):
         lam = cfg.lam or 0.0
 
         def obf_fn(params, state=state, batch=batch, lam=lam):
-            parts, grads = obfuscator_losses(state, batch, lam=lam, link_mode="exact")
+            parts, grads = obfuscator_losses(state, batch, lam=lam)
             return parts["l_obf"], grads
 
         cases.append((f"obfuscator/{variant}", obf_fn, state.obf_params()))

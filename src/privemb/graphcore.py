@@ -330,7 +330,6 @@ def onehot_labels(g: Graph, schema: AttributeSchema, name: str):
 class NodeSplit:
     train: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def split_nodes(mask, fraction: float, seed: int) -> NodeSplit:
@@ -344,7 +343,7 @@ def split_nodes(mask, fraction: float, seed: int) -> NodeSplit:
     k = int(round(fraction * mask.size))
     if k == 0 or k == mask.size:
         raise ValueError("fraction leaves an empty split side")
-    return NodeSplit(train=np.sort(shuffled[:k]), test=np.sort(shuffled[k:]), seed=seed)
+    return NodeSplit(train=np.sort(shuffled[:k]), test=np.sort(shuffled[k:]))
 
 
 @dataclass
@@ -352,7 +351,6 @@ class EdgeSplit:
     train_edges: np.ndarray
     heldout_pos: np.ndarray
     heldout_neg: np.ndarray
-    seed: int
 
 
 def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
@@ -377,7 +375,7 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
         raise InputError("not enough non-edges to mirror the held-out set")
     keys = np.sort(sample_non_edges(n, g.edges[:, 0] * n + g.edges[:, 1], k, rng))
     heldout_neg = np.stack(np.divmod(keys, n), axis=1)
-    return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg, seed=seed)
+    return EdgeSplit(train_edges=train, heldout_pos=held, heldout_neg=heldout_neg)
 
 
 def sample_non_edges(n: int, taken, count: int, rng: Rng) -> np.ndarray:

@@ -113,40 +113,42 @@ class ModelState:
         return {"Wa": self.Wa, "ba": self.ba}
 
 
-def init_state(variant: str, feat_dim: int, hidden: int, release_dim: int,
-               code_dim: int, utility_dims: dict, m_private: int, seed: int) -> ModelState:
-    """Glorot-initialize weights, zero biases, one derived stream per tensor."""
+def init_state(cfg, batch: Batch) -> ModelState:
+    """Glorot-initialize weights, zero biases, one derived stream per tensor.
+    The widths come from the resolved ``TrainConfig`` and the batch."""
 
     def glorot(name, rows, cols):
-        return Rng(derive_seed(seed, f"init/{name}")).glorot(rows, cols)
+        return Rng(derive_seed(cfg.seed, f"init/{name}")).glorot(rows, cols)
 
-    spec = VARIANT_SPECS[variant]
-    enc_out = code_dim if spec.disentangles else release_dim
-    release = code_dim if spec.disentangles and not spec.expands else release_dim
-    dec_in = release + (m_private if spec.disentangles else 0)
+    spec = VARIANT_SPECS[cfg.variant]
+    m_private = batch.privacy_onehot.shape[1]
+    enc_out = cfg.d_prime if spec.disentangles else cfg.d
+    dec_in = cfg.d + (m_private if spec.disentangles else 0)
 
     kwargs = dict(
-        variant=variant,
-        W0=glorot("W0", feat_dim, hidden),
-        W1=glorot("W1", hidden, enc_out),
-        heads={name: glorot(f"head:{name}", dec_in, m) for name, m in utility_dims.items()},
+        variant=cfg.variant,
+        W0=glorot("W0", batch.lx.shape[1], cfg.hidden),
+        W1=glorot("W1", cfg.hidden, enc_out),
+        heads={name: glorot(f"head:{name}", dec_in, onehot.shape[1])
+               for name, (onehot, _) in batch.utility.items()},
     )
     if spec.expands:
-        kwargs["We"] = glorot("We", code_dim, release_dim)
+        kwargs["We"] = glorot("We", cfg.d_prime, cfg.d)
     if spec.disentangles:
         kwargs["Wd1"] = glorot("Wd1", enc_out, _DISC_HIDDEN)
         kwargs["bd1"] = np.zeros(_DISC_HIDDEN)
         kwargs["Wd2"] = glorot("Wd2", _DISC_HIDDEN, 1)
         kwargs["bd2"] = np.zeros(1)
     if spec.purges:
-        kwargs["Wa"] = glorot("Wa", release, m_private)
+        kwargs["Wa"] = glorot("Wa", cfg.d, m_private)
         kwargs["ba"] = np.zeros(m_private)
     return ModelState(**kwargs)
 
 
 @dataclass
 class Batch:
-    """Per-run tensors shared by every loss: normalized adjacency, features,
+    """Per-run tensors shared by every loss: normalized adjacency L, the
+    encoder's first propagation ``lx`` = L @ X (no weight enters it),
     reconstruction targets, and label blocks.
 
     The targets are 0/1, so ``link_keys`` holds them as the sorted int64
@@ -155,17 +157,16 @@ class Batch:
     the negative sampler read them."""
 
     laplacian: sp.csr_matrix
-    features: np.ndarray
+    lx: np.ndarray
     link_keys: np.ndarray
     utility: dict
     privacy_onehot: np.ndarray
     privacy_mask: np.ndarray
     _pos_filter: tuple = field(default=None, repr=False)
-    _lap_features: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.lx.shape[0]
 
     @property
     def pos_weight(self) -> float:
@@ -185,12 +186,6 @@ class Batch:
             table[_key_slots(keys, bits)] = True
             self._pos_filter = (table, bits)
         return self._pos_filter
-
-    def laplacian_features(self) -> np.ndarray:
-        """L @ X, the encoder's first propagation, which no weight enters."""
-        if self._lap_features is None:
-            self._lap_features = spmm(self.laplacian, self.features)
-        return self._lap_features
 
 
 def _key_slots(keys, bits: int) -> np.ndarray:
@@ -370,18 +365,12 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng) -> np.ndarray:
     return out
 
 
-def link_loss(z_in, batch: Batch, mode: str = "exact", rng: Rng = None,
-              negs_per_pos: int = 5, neg_keys=None):
-    """Dispatch between the dense all-pairs loss and the sampled one."""
+def link_loss(z_in, batch: Batch, neg_keys=None):
+    """The exact loss over every pair, or the sampled one over all the
+    positives and the negative pair keys ``neg_keys``."""
     pos_keys = batch.link_keys
-    if mode == "exact":
-        return link_loss_exact(z_in, pos_keys, batch.pos_weight)
-    if mode != "sampled":
-        raise ValueError(f"unknown link loss mode '{mode}'")
     if neg_keys is None:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng or explicit negatives")
-        neg_keys = sample_negative_pairs(batch, negs_per_pos * pos_keys.size, rng)
+        return link_loss_exact(z_in, pos_keys, batch.pos_weight)
     return link_loss_sampled(z_in, pos_keys, neg_keys, batch.n * batch.n - pos_keys.size)
 
 
@@ -476,13 +465,12 @@ def release_from_code(state: ModelState, z_code) -> np.ndarray:
 
 def release_embedding(state: ModelState, batch: Batch):
     """Forward pass only: returns (code Z', released embedding Z)."""
-    z_code, _ = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
+    z_code, _ = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
     return z_code, release_from_code(state, z_code)
 
 
 def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
-                      link_mode: str = "exact", rng: Rng = None,
-                      negs_per_pos: int = 5, neg_keys=None, forward=None):
+                      draw_negatives=None, forward=None):
     """Joint forward and backward pass for the obfuscator update.
 
     Computes the link loss, every utility head loss, and (when the variant
@@ -491,6 +479,11 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     ``state.obf_params()``. Attacker and discriminator weights are treated
     as constants here.
 
+    ``draw_negatives`` returns the negative pair keys of a sampled link
+    loss; None selects the exact loss. It is called as ``link_loss``'s
+    argument, so the keys are freed when the link loss returns, before the
+    backward pass.
+
     ``forward`` is the ``encoder_forward`` result for the current encoder
     weights when the caller already has it; it is computed here otherwise.
 
@@ -498,14 +491,13 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     not computed), l_recon, and l_obf.
     """
     if forward is None:
-        forward = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
+        forward = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
     z_code, cache = forward
     z = release_from_code(state, z_code)
     concat = VARIANT_SPECS[state.variant].disentangles
     z_in = concat_privacy(z, batch.privacy_onehot) if concat else z
 
-    l_link, dz_in = link_loss(z_in, batch, mode=link_mode, rng=rng,
-                              negs_per_pos=negs_per_pos, neg_keys=neg_keys)
+    l_link, dz_in = link_loss(z_in, batch, draw_negatives() if draw_negatives else None)
     grads = {}
     attr_values = []
     for name, (onehot, mask) in batch.utility.items():
@@ -533,7 +525,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     else:
         dz_code = dz
     grads["W0"], grads["W1"] = encoder_backward(dz_code, cache, batch.laplacian,
-                                                batch.laplacian_features(), state.W1)
+                                                batch.lx, state.W1)
     parts = {
         "l_link": l_link,
         "l_attr": float(sum(attr_values)),

@@ -104,11 +104,6 @@ def softplus(x, out=None, scratch=None):
     return float(out[0]) if scalar else out
 
 
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray, pos_weight: float = 1.0):
     """Weighted binary cross-entropy over every entry.
 
@@ -145,23 +140,23 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
     ym = y[mask]
     if not np.all(ym.sum(axis=1) == 1.0):
         raise ValueError("masked rows must be one-hot")
-    logp = _log_softmax_rows(x[mask])
-    loss = float(-(ym * logp).sum() / mask.size)
+    # the kernel leaves log p in its scratch copy of the masked logits
+    logp = x[mask]
     grad = np.zeros_like(x)
-    grad[mask] = (np.exp(logp) - ym) / mask.size
-    return loss, grad
+    grad[mask] = softmax_cross_entropy_grad(logp, ym, np.empty_like(logp), mask.size)
+    return float(-(ym * logp).sum() / mask.size), grad
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
                                out: np.ndarray, rows: int) -> np.ndarray:
-    """Gradient of ``softmax_cross_entropy`` over a block of the rows, bit for
-    bit, for a one-hot the caller has already validated; ``rows`` is the
-    row count of the whole mean, so the blocks of one batch can be computed
-    one at a time.
+    """Gradient of the mean softmax cross-entropy over a block of the rows,
+    for a one-hot the caller has already validated; ``rows`` is the row
+    count of the whole mean, so the blocks of one batch can be computed one
+    at a time. ``softmax_cross_entropy`` computes through it.
 
     Writes the gradient into ``out`` and uses ``logits`` as scratch: both
-    must be C-contiguous float64 arrays of one shape, and ``logits`` no
-    longer holds the logits afterwards.
+    must be C-contiguous float64 arrays of one shape, and ``logits`` holds
+    the log-probabilities afterwards.
     """
     if logits.shape != onehot.shape or out.shape != logits.shape:
         raise ShapeError(f"logits {logits.shape}, labels {onehot.shape} and "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .models import (
     obfuscator_losses,
     release_embedding,
     release_from_code,
+    sample_negative_pairs,
 )
 from .numkit import Adam, NumericError, Rng, derive_seed, spmm
 
@@ -82,17 +84,18 @@ class TrainConfig:
         if self.variant not in VARIANT_SPECS:
             raise ConfigError(f"unknown variant '{self.variant}'")
         spec = VARIANT_SPECS[self.variant]
-        if self.iterations < 1 or self.k_att < 1 or self.k_dis < 1:
-            raise ConfigError("iteration counts must be at least 1")
+        for key, count in (("T", self.iterations), ("k_att", self.k_att), ("k_dis", self.k_dis)):
+            if count < 1:
+                raise ConfigError(f"{key} must be at least 1")
         lr_gen = self.lr_dis if self.lr_gen is None else float(self.lr_gen)
         if min(self.lr, self.lr_att, self.lr_dis, lr_gen) <= 0:
             raise ConfigError("learning rates must be positive")
         if not 0.0 < self.edge_holdout < 1.0:
             raise ConfigError("edge_holdout must be strictly between 0 and 1")
         if self.link_mode not in ("auto", "exact", "sampled"):
-            raise ConfigError(f"unknown link_mode '{self.link_mode}'")
+            raise ConfigError(f"unknown link_loss '{self.link_mode}'")
         if self.negs_per_pos < 1:
-            raise ConfigError("negs_per_pos must be at least 1")
+            raise ConfigError("negatives_per_positive must be at least 1")
         if self.d < 1 or self.hidden < 1:
             raise ConfigError("dimensions must be positive")
 
@@ -100,9 +103,9 @@ class TrainConfig:
         if spec.purges:
             lam = 1.0 if lam is None else float(lam)
             if lam < 0:
-                raise ConfigError("lam must be non-negative")
+                raise ConfigError("lambda must be non-negative")
         elif lam is not None:
-            raise ConfigError(f"lam does not apply to variant '{self.variant}'")
+            raise ConfigError(f"lambda does not apply to variant '{self.variant}'")
 
         d_prime = self.d_prime
         if spec.disentangles:
@@ -134,7 +137,6 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     """Assemble the per-run tensors. A variant that drops the private
     feature (GAE_RM) leaves it out of the feature matrix."""
     exclude = (schema.private_attribute,) if VARIANT_SPECS[variant].drops_private_feature else ()
-    features = build_features(g, schema, exclude)
     laplacian = normalize_adjacency(g, train_edges)
     # the targets are the self-looped training adjacency: L's sparsity pattern
     link_keys = np.repeat(np.arange(g.n), np.diff(laplacian.indptr)) * g.n + laplacian.indices
@@ -142,12 +144,18 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     privacy_onehot, privacy_mask = onehot_labels(g, schema, schema.private_attribute)
     return Batch(
         laplacian=laplacian,
-        features=features,
+        lx=spmm(laplacian, build_features(g, schema, exclude)),
         link_keys=link_keys,
         utility=utility,
         privacy_onehot=privacy_onehot,
         privacy_mask=privacy_mask,
     )
+
+
+def edge_split(g: Graph, cfg: TrainConfig) -> EdgeSplit:
+    """The run's edge split: ``train`` trains on its training edges and the
+    link audit scores its held-out pairs."""
+    return split_edges(g, cfg.edge_holdout, derive_seed(cfg.seed, "edges"))
 
 
 def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
@@ -186,21 +194,19 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     cfg = cfg.resolved()
     start = time.perf_counter()
 
-    split = split_edges(g, cfg.edge_holdout, derive_seed(cfg.seed, "edges"))
+    split = edge_split(g, cfg)
     batch = prepare_batch(g, schema, cfg.variant, split.train_edges)
-    utility_dims = {name: schema.classes[name] for name in schema.utility_attributes}
-    m_private = schema.classes[schema.private_attribute]
-    state = init_state(cfg.variant, batch.features.shape[1], cfg.hidden,
-                       cfg.d, cfg.d_prime or cfg.d, utility_dims, m_private, cfg.seed)
+    state = init_state(cfg, batch)
 
-    mode = cfg.link_mode
-    if mode == "auto":
-        mode = "sampled" if g.n > SAMPLED_MODE_THRESHOLD else "exact"
-    if mode == "sampled":
+    # the exact link loss, or negatives drawn afresh at every obfuscator step
+    draw_negatives = None
+    if cfg.link_mode == "sampled" or (cfg.link_mode == "auto" and g.n > SAMPLED_MODE_THRESHOLD):
         # the decoder input's width: every utility head reads it
         width = next(iter(state.heads.values())).shape[0]
         _check_link_memory(g.n, width, batch.link_keys.size, cfg.negs_per_pos)
-    rng_neg = Rng(derive_seed(cfg.seed, "negatives"))
+        draw_negatives = partial(sample_negative_pairs, batch,
+                                 cfg.negs_per_pos * batch.link_keys.size,
+                                 Rng(derive_seed(cfg.seed, "negatives")))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
     spec = VARIANT_SPECS[cfg.variant]
@@ -222,7 +228,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         # The attacker and discriminator steps leave the encoder alone, so
         # one forward before the obfuscator step and one after it serve
         # every step of the iteration.
-        forward = encoder_forward(batch.laplacian, batch.laplacian_features(), state.W0, state.W1)
+        forward = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
         if spec.purges:
             z = release_from_code(state, forward[0])
             for _ in range(cfg.k_att):
@@ -232,8 +238,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                 _require_finite(l_step, "l_att", t)
                 opt_att.step(state.attacker_params(), _finite_grads({"Wa": dwa, "ba": dba}, t))
 
-        parts, grads = obfuscator_losses(state, batch, lam=lam, link_mode=mode,
-                                         rng=rng_neg, negs_per_pos=cfg.negs_per_pos,
+        parts, grads = obfuscator_losses(state, batch, lam=lam, draw_negatives=draw_negatives,
                                          forward=forward)
         row["l_link"] = _require_finite(parts["l_link"], "l_link", t)
         row["l_attr"] = _require_finite(parts["l_attr"], "l_attr", t)
@@ -243,8 +248,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         opt_obf.step(state.obf_params(), _finite_grads(grads, t))
 
         if spec.disentangles:
-            z_code, hidden = encoder_forward(batch.laplacian, batch.laplacian_features(),
-                                             state.W0, state.W1)
+            z_code, hidden = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
             for _ in range(cfg.k_dis):
                 prior = rng_prior.randn(g.n, z_code.shape[1])
                 l_dc, dgrads, _ = disc_loss(prior, z_code, state.Wd1, state.bd1,

@@ -394,6 +394,18 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("config error:"), r.stderr
         assert "negatives_per_positive" in r.stderr
 
+    @pytest.mark.parametrize("model,message", [
+        ({"variant": "APGE", "lambda": -1.0}, "lambda must be non-negative"),
+        ({"lambda": 1.0}, "lambda does not apply to variant 'GAE'"),
+        ({"negatives_per_positive": 0}, "negatives_per_positive must be at least 1"),
+        ({"link_loss": "minibatch"}, "unknown link_loss 'minibatch'"),
+        ({"T": 0}, "T must be at least 1"),
+    ])
+    def test_bad_model_value_names_the_config_key(self, tmp_path, capsys, model, message):
+        config = write_config(tmp_path, model=model)
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_lambda_on_gae_is_config_error(self, tmp_path):
         config = write_config(tmp_path, model={"lambda": 1.0})
         r = run_cli("train", "--config", str(config))

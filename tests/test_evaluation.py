@@ -324,7 +324,7 @@ def test_data_faults_are_input_errors():
     empty = np.empty((0, 2), dtype=np.int64)
     pairs = np.array([[0, 1]])
     with pytest.raises(InputError, match="empty side"):
-        link_eval(z, EdgeSplit(pairs, empty, pairs, seed=0), spec)
+        link_eval(z, EdgeSplit(pairs, empty, pairs), spec)
     # parameters, not data: these stay plain configuration errors
     for kwargs in ({"fraction": 0.05}, {"repeats": 0}):
         with pytest.raises(ValueError) as err:

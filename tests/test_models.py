@@ -45,12 +45,11 @@ from privemb.training import TrainConfig, prepare_batch, split_edges
 LN2 = math.log(2.0)
 
 
-def _init(variant, feat_dim=8, hidden=6, release_dim=4, code_dim=3,
-          utility_dims=None, m_private=2, seed=0):
-    if utility_dims is None:
-        utility_dims = {"dept": 3}
-    return init_state(variant, feat_dim, hidden, release_dim, code_dim,
-                      utility_dims, m_private, seed)
+def _init(variant, feat_dim=8, hidden=6, release_dim=4, code_dim=3, m_private=2, seed=0):
+    """A state for the tiny batch: one three-class utility head "dept"."""
+    cfg = TrainConfig(variant=variant, d=release_dim, hidden=hidden, seed=seed,
+                      d_prime=code_dim if models.VARIANT_SPECS[variant].disentangles else None)
+    return init_state(cfg.resolved(), _tiny_batch(feat_dim=feat_dim, m_private=m_private))
 
 
 def _tiny_batch(n=4, edges=((0, 1), (1, 2), (2, 3)), feat_dim=5, m_private=2,
@@ -68,7 +67,7 @@ def _tiny_batch(n=4, edges=((0, 1), (1, 2), (2, 3)), feat_dim=5, m_private=2,
     util = np.zeros((n, m_util))
     util[np.arange(n), np.arange(n) % m_util] = 1.0
     mask = np.arange(n)
-    return Batch(laplacian=lap, features=feats, link_keys=np.flatnonzero(a),
+    return Batch(laplacian=lap, lx=spmm(lap, feats), link_keys=np.flatnonzero(a),
                  utility={"dept": (util, mask)}, privacy_onehot=priv,
                  privacy_mask=mask)
 
@@ -255,8 +254,8 @@ class TestLinkLoss:
         batch = _tiny_batch(n=12, edges=tuple((i, (i + 1) % 12) for i in range(12)),
                             feat_dim=6)
         z = Rng(5).randn(12, 4)
-        loss_e, dz_e = link_loss(z, batch, mode="exact")
-        loss_s, dz_s = link_loss(z, batch, mode="sampled", neg_keys=_negative_keys(batch))
+        loss_e, dz_e = link_loss(z, batch)
+        loss_s, dz_s = link_loss(z, batch, _negative_keys(batch))
         assert_close(loss_s, loss_e, tol=1e-10)
         assert np.allclose(dz_s, dz_e, atol=1e-10)
 
@@ -274,20 +273,10 @@ class TestLinkLoss:
         pos = rng.permutation(batch.link_keys)
         neg = rng.permutation(neg)
         z = rng.standard_normal((n, d))
-        loss_e, dz_e = link_loss(z, batch, mode="exact")
+        loss_e, dz_e = link_loss(z, batch)
         loss_s, dz_s = models.link_loss_sampled(z, pos, neg, len(neg))
         assert abs(loss_s - loss_e) <= 1e-12 * abs(loss_e)
         assert np.allclose(dz_s, dz_e, rtol=1e-10, atol=1e-14)
-
-    def test_sampled_needs_rng_or_pairs(self):
-        batch = _tiny_batch()
-        with pytest.raises(ValueError):
-            link_loss(np.zeros((batch.n, 3)), batch, mode="sampled")
-
-    def test_unknown_mode(self):
-        batch = _tiny_batch()
-        with pytest.raises(ValueError):
-            link_loss(np.zeros((batch.n, 3)), batch, mode="dense")
 
     @pytest.mark.parametrize("chunk", [1, 3, 256, 4096])
     def test_pair_logits_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
@@ -462,7 +451,7 @@ def _joined_blocks_negatives(batch, count, rng):
 
 def _target_batch(n, edges):
     targets = adjacency_with_self_loops(n, np.asarray(edges, dtype=np.int64))
-    return Batch(laplacian=targets, features=np.zeros((n, 1)),
+    return Batch(laplacian=targets, lx=np.zeros((n, 1)),
                  link_keys=np.flatnonzero(targets.toarray()),
                  utility={}, privacy_onehot=np.zeros((n, 2)),
                  privacy_mask=np.arange(0))
@@ -686,11 +675,8 @@ class TestObfuscatorLosses:
         split = split_edges(g, 0.15, 99)
         for variant in models.VARIANTS:
             batch = prepare_batch(g, schema, variant, split.train_edges)
-            cfg = TrainConfig(variant=variant, seed=0).resolved()
-            st = init_state(variant, batch.features.shape[1], cfg.hidden,
-                            cfg.d, cfg.d_prime,
-                            {n: schema.classes[n] for n in schema.utility_attributes},
-                            schema.classes[schema.private_attribute], seed=3)
+            cfg = TrainConfig(variant=variant, seed=3).resolved()
+            st = init_state(cfg, batch)
             lam = 1.0 if st.Wa is not None else 0.0
             parts, grads = obfuscator_losses(st, batch, lam=lam)
             assert set(grads) == set(st.obf_params())
@@ -703,11 +689,8 @@ class TestObfuscatorLosses:
         g, schema = small_synth
         split = split_edges(g, 0.15, 99)
         batch = prepare_batch(g, schema, "APGE", split.train_edges)
-        cfg = TrainConfig(variant="APGE", seed=0).resolved()
-        st = init_state("APGE", batch.features.shape[1], cfg.hidden, cfg.d,
-                        cfg.d_prime,
-                        {n: schema.classes[n] for n in schema.utility_attributes},
-                        schema.classes[schema.private_attribute], seed=3)
+        cfg = TrainConfig(variant="APGE", seed=3).resolved()
+        st = init_state(cfg, batch)
         parts0, grads0 = obfuscator_losses(st, batch, lam=0.0)
         parts1, grads1 = obfuscator_losses(st, batch, lam=4.0)
         assert_close(parts0["l_obf"], parts0["l_recon"], tol=1e-15)
@@ -721,11 +704,8 @@ class TestObfuscatorLosses:
         g, schema = small_synth
         split = split_edges(g, 0.15, 99)
         batch = prepare_batch(g, schema, "APDGE", split.train_edges)
-        cfg = TrainConfig(variant="APDGE", seed=0).resolved()
-        st = init_state("APDGE", batch.features.shape[1], cfg.hidden, cfg.d,
-                        cfg.d_prime,
-                        {n: schema.classes[n] for n in schema.utility_attributes},
-                        schema.classes[schema.private_attribute], seed=3)
+        cfg = TrainConfig(variant="APDGE", seed=3).resolved()
+        st = init_state(cfg, batch)
         z_code, z = release_embedding(st, batch)
         assert z_code.shape == (g.n, cfg.d_prime)
         assert z.shape == (g.n, cfg.d)

@@ -1,6 +1,7 @@
 """Training loop behavior: determinism, traces, aborts, config validation."""
 
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import given, strategies as st
 
 from privemb import graphcore, models, training
 from privemb.models import VARIANTS
-from privemb.numkit import NumericError, Rng
+from privemb.numkit import NumericError, Rng, derive_seed
 from privemb.training import (
     ConfigError,
     TRACE_COLUMNS,
     TrainConfig,
     export_embeddings,
     export_trace,
+    edge_split,
     load_embeddings,
     prepare_batch,
     train,
@@ -87,8 +89,8 @@ def test_gae_rm_drops_private_column(small_synth):
     full = prepare_batch(g, schema, "GAE", split.train_edges)
     trimmed = prepare_batch(g, schema, "GAE_RM", split.train_edges)
     m_p = schema.classes[schema.private_attribute]
-    assert full.features.shape[1] == schema.width()
-    assert trimmed.features.shape[1] == schema.width() - m_p
+    assert full.lx.shape[1] == schema.width()
+    assert trimmed.lx.shape[1] == schema.width() - m_p
     # the private labels are still available for evaluation
     assert trimmed.privacy_onehot.shape[1] == m_p
 
@@ -150,6 +152,49 @@ class TestTrain:
         res = train(g, schema, quick_cfg("GAE", link_mode="sampled"))
         assert np.all(np.isfinite(res.Z))
 
+    def test_sampled_steps_read_the_negatives_stream(self, small_synth, monkeypatch):
+        # iteration t trains on the t-th draw of negatives_per_positive x
+        # |link_keys| keys from the run's "negatives" stream
+        g, schema = small_synth
+        cfg = quick_cfg("GAE", link_mode="sampled", negs_per_pos=3, iterations=3, seed=5)
+        seen = []
+        real = models.link_loss_sampled
+
+        def spy(z_in, pos_keys, neg_keys, n_neg_total):
+            seen.append((pos_keys, neg_keys.copy(), n_neg_total))
+            return real(z_in, pos_keys, neg_keys, n_neg_total)
+
+        monkeypatch.setattr(models, "link_loss_sampled", spy)
+        train(g, schema, cfg)
+        batch = prepare_batch(g, schema, "GAE", edge_split(g, cfg).train_edges)
+        rng = Rng(derive_seed(5, "negatives"))
+        assert len(seen) == 3
+        for pos_keys, neg_keys, n_neg_total in seen:
+            want = models.sample_negative_pairs(batch, 3 * batch.link_keys.size, rng)
+            assert np.array_equal(neg_keys, want)
+            assert np.array_equal(pos_keys, batch.link_keys)
+            assert n_neg_total == g.n * g.n - batch.link_keys.size
+
+    def test_negatives_are_freed_before_the_backward_pass(self, small_synth, monkeypatch):
+        # a step's negative keys (4.5 MB at n=6000) must not live through
+        # encoder_backward, which holds the step's largest arrays
+        g, schema = small_synth
+        refs = []
+        real_loss, real_backward = models.link_loss_sampled, models.encoder_backward
+
+        def spy_loss(z_in, pos_keys, neg_keys, n_neg_total):
+            refs.append(weakref.ref(neg_keys))
+            return real_loss(z_in, pos_keys, neg_keys, n_neg_total)
+
+        def spy_backward(*args):
+            assert refs[-1]() is None, "the negative keys outlive the link loss"
+            return real_backward(*args)
+
+        monkeypatch.setattr(models, "link_loss_sampled", spy_loss)
+        monkeypatch.setattr(models, "encoder_backward", spy_backward)
+        train(g, schema, quick_cfg("GAE", link_mode="sampled", iterations=2))
+        assert len(refs) == 2
+
     def test_link_memory_budget_refuses_before_training(self, small_synth, monkeypatch):
         # n = 60: a budget below one n x n float64 array
         g, schema = small_synth
@@ -169,7 +214,7 @@ class TestTrain:
         # batch, made once per run, so it is made before the trace
         rng = Rng(8)
         keys = np.unique(rng.integers(0, n * n, size=draws))
-        batch = models.Batch(laplacian=None, features=np.zeros((n, 1)), link_keys=keys,
+        batch = models.Batch(laplacian=None, lx=np.zeros((n, 1)), link_keys=keys,
                              utility={}, privacy_onehot=np.zeros((n, 2)),
                              privacy_mask=np.arange(0))
         batch.positive_filter()
