@@ -3,24 +3,11 @@
 Learns node embeddings for attributed graphs while suppressing a chosen
 private attribute, and audits the result with inference attacks, attribute
 prediction, and link prediction.
-"""
 
-from .numkit import Adam, NumericError, Rng, ShapeError, derive_seed, grad_check
-from .graphcore import (
-    AttributeSchema,
-    EdgeSplit,
-    Graph,
-    InputError,
-    NodeSplit,
-    load_graph,
-    normalize_adjacency,
-    save_graph,
-    split_edges,
-    split_nodes,
-)
-from .models import VARIANTS, ModelState
-from .training import ConfigError, EmbeddingResult, TrainConfig, export_embeddings, load_embeddings, train
-from .evaluation import ClassifierSpec, EvalRecord, accuracy, audit, link_eval, macro_f1, sweep, write_report
-from .datagen import SynthParams, synth_graph
+The supported interface is the ``privemb`` command (``privemb.cli``). The
+modules are internal: the config, the data and the embeddings are checked
+where the command reads them, and the values the program builds from them
+are not checked again.
+"""
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every command takes a JSON run configuration. Exit codes: 0 success,
-1 configuration error, 2 input or output error, 3 numeric failure.
+1 configuration error, 2 input or output error (also data too thin to
+train, split or evaluate, and running out of memory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

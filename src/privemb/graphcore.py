@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numkit import Rng, derive_seed
+from .numkit import Rng
 
 if TYPE_CHECKING:  # imported where a CSR matrix is built; see numkit
     import scipy.sparse as sp
@@ -109,7 +109,8 @@ def canonical_edges(pairs, n: int) -> np.ndarray:
 
 @dataclass
 class Graph:
-    """Undirected simple graph with integer-coded node attributes."""
+    """Undirected simple graph with integer-coded node attributes: edges
+    (u, v) with 0 <= u < v < n, and one code per node for each attribute."""
 
     n: int
     edges: np.ndarray
@@ -117,19 +118,9 @@ class Graph:
     node_ids: tuple = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("graph needs at least one node")
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if self.edges.size:
-            if self.edges.min() < 0 or self.edges.max() >= self.n:
-                raise InputError("edge endpoint out of range")
-            if np.any(self.edges[:, 0] >= self.edges[:, 1]):
-                raise InputError("edges must satisfy u < v")
         for name, codes in self.attributes.items():
-            codes = np.asarray(codes, dtype=np.int64)
-            if codes.shape != (self.n,):
-                raise InputError(f"attribute '{name}' must have one code per node")
-            self.attributes[name] = codes
+            self.attributes[name] = np.asarray(codes, dtype=np.int64)
 
 
 def _text(src):
@@ -271,22 +262,10 @@ def adjacency_with_self_loops(n: int, edges: np.ndarray) -> sp.csr_matrix:
 
 
 def normalize_adjacency(g: Graph, edges: np.ndarray = None) -> sp.csr_matrix:
-    """Symmetrically normalized self-looped adjacency D^-1/2 (A+I) D^-1/2."""
-    if edges is None:
-        edges = g.edges
-    else:
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        keys = edges[:, 0] * g.n + edges[:, 1]
-        allowed = np.sort(g.edges[:, 0] * g.n + g.edges[:, 1])
-        at = np.searchsorted(allowed, keys)
-        found = at < allowed.size
-        found[found] = allowed[at[found]] == keys[found]
-        # an out-of-range pair can share its key with an edge: check range too
-        missing = ((edges < 0) | (edges >= g.n)).any(axis=1) | ~found
-        if missing.any():
-            u, v = edges[np.argmax(missing)]
-            raise ValueError(f"edge ({int(u)}, {int(v)}) is not in the graph")
-    lap = adjacency_with_self_loops(g.n, edges)
+    """Symmetrically normalized self-looped adjacency D^-1/2 (A+I) D^-1/2,
+    over ``edges`` (a subset of the graph's, such as the training edges of
+    a split) or over every edge."""
+    lap = adjacency_with_self_loops(g.n, g.edges if edges is None else edges)
     inv_sqrt = 1.0 / np.sqrt(np.asarray(lap.sum(axis=1)).ravel())
     rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
     lap.data[:] = inv_sqrt[rows] * inv_sqrt[lap.indices]
@@ -298,9 +277,6 @@ def build_features(g: Graph, schema: AttributeSchema, exclude=()) -> np.ndarray:
 
     Missing codes produce an all-zero block row.
     """
-    for name in exclude:
-        if name not in schema.names:
-            raise ValueError(f"cannot exclude unknown attribute '{name}'")
     width = schema.width(exclude)
     x = np.zeros((g.n, width), dtype=np.float64)
     offset = 0
@@ -316,8 +292,6 @@ def build_features(g: Graph, schema: AttributeSchema, exclude=()) -> np.ndarray:
 
 def onehot_labels(g: Graph, schema: AttributeSchema, name: str):
     """Return (onehot [n x M], mask of labeled node indices) for one attribute."""
-    if name not in schema.names:
-        raise ValueError(f"unknown attribute '{name}'")
     codes = g.attributes[name]
     m = schema.classes[name]
     y = np.zeros((g.n, m), dtype=np.float64)
@@ -337,12 +311,11 @@ def split_nodes(mask, fraction: float, seed: int) -> NodeSplit:
     mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size < 2:
         raise InputError("need at least two labeled nodes to split")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be strictly between 0 and 1")
     shuffled = mask[Rng(seed).permutation(mask.size)]
     k = int(round(fraction * mask.size))
     if k == 0 or k == mask.size:
-        raise ValueError("fraction leaves an empty split side")
+        raise InputError(f"a {fraction:g} split of {mask.size} labeled nodes leaves "
+                         "an empty side")
     return NodeSplit(train=np.sort(shuffled[:k]), test=np.sort(shuffled[k:]))
 
 
@@ -358,14 +331,12 @@ def split_edges(g: Graph, holdout: float, seed: int) -> EdgeSplit:
 
     Held-out pairs never reach training, so link evaluation is uncontaminated.
     """
-    if not 0.0 < holdout < 1.0:
-        raise ValueError("holdout must be strictly between 0 and 1")
     m = len(g.edges)
     if m < 2:
         raise InputError("graph has too few edges to split")
     k = int(round(holdout * m))
     if k == 0 or k == m:
-        raise ValueError("holdout leaves an empty split side")
+        raise InputError(f"holding out {k} of {m} edges leaves an empty split side")
     rng = Rng(seed)
     perm = rng.permutation(m)
     held = g.edges[np.sort(perm[:k])]

@@ -24,7 +24,6 @@ import numpy as np
 
 from .numkit import (
     Rng,
-    ShapeError,
     derive_seed,
     relu,
     relu_backward,
@@ -64,12 +63,10 @@ _DISC_HIDDEN = 64
 
 @dataclass
 class ModelState:
-    """All trainable parameters for one variant.
-
-    Construction validates that exactly the blocks the variant uses are
-    present: expansion (We), discriminator (Wd1/bd1/Wd2/bd2), attacker
-    (Wa/ba). ``heads`` maps each utility attribute name to its decoder
-    weight matrix.
+    """All trainable parameters for one variant, as ``init_state`` wires
+    them: the expansion (We), discriminator (Wd1/bd1/Wd2/bd2) and attacker
+    (Wa/ba) blocks are None where the variant lacks them. ``heads`` maps
+    each utility attribute name to its decoder weight matrix.
     """
 
     variant: str
@@ -83,18 +80,6 @@ class ModelState:
     bd2: np.ndarray = None
     Wa: np.ndarray = None
     ba: np.ndarray = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_SPECS:
-            raise ValueError(f"unknown variant '{self.variant}'")
-        spec = VARIANT_SPECS[self.variant]
-        for wanted, name, blocks in (
-                (spec.expands, "expansion layer", [self.We]),
-                (spec.disentangles, "discriminator", [self.Wd1, self.bd1, self.Wd2, self.bd2]),
-                (spec.purges, "attacker", [self.Wa, self.ba])):
-            # every block of a wanted part present, none of an unwanted one
-            if sum(p is not None for p in blocks) != (len(blocks) if wanted else 0):
-                raise ValueError(f"{self.variant}: {name} wiring mismatch")
 
     def obf_params(self) -> dict:
         """Encoder, expansion, and decoder heads: everything the
@@ -219,8 +204,6 @@ def concat_privacy(z, privacy_onehot) -> np.ndarray:
     """Append the one-hot private label to each row; missing labels append zeros."""
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(privacy_onehot, dtype=np.float64)
-    if z.shape[0] != y.shape[0]:
-        raise ShapeError("embedding and label row counts differ")
     return np.hstack([z, y])
 
 
@@ -243,8 +226,6 @@ def link_loss_exact(z_in, keys, pos_weight):
     """
     import scipy.sparse as sp
 
-    if not pos_weight > 0:
-        raise ValueError("pos_weight must be positive")
     z_in = np.asarray(z_in, dtype=np.float64)
     n = z_in.shape[0]
     size = float(n * n)
@@ -412,8 +393,6 @@ def disc_loss(real, fake, wd1, bd1, wd2, bd2):
     """
     real = np.asarray(real, dtype=np.float64)
     fake = np.asarray(fake, dtype=np.float64)
-    if real.shape[1] != fake.shape[1]:
-        raise ShapeError("real and fake batches must share the code width")
     q_r, pre_r, hid_r = _disc_forward(real, wd1, bd1, wd2, bd2)
     q_f, pre_f, hid_f = _disc_forward(fake, wd1, bd1, wd2, bd2)
     loss = float(softplus(-q_r).mean()) + float(softplus(q_f).mean())
@@ -449,11 +428,8 @@ def attacker_loss(z, wa, ba, onehot, mask):
 
 
 def obf_loss(l_recon: float, l_att, lam: float) -> float:
-    """Obfuscator objective: reconstruction minus lam times attacker loss."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if lam and l_att is None:
-        raise ValueError("attacker loss required when lam > 0")
+    """Obfuscator objective: reconstruction minus lam times attacker loss;
+    ``l_att`` may be None only at lam 0."""
     return float(l_recon) - (lam * float(l_att) if lam else 0.0)
 
 
@@ -474,7 +450,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     """Joint forward and backward pass for the obfuscator update.
 
     Computes the link loss, every utility head loss, and (when the variant
-    wires an attacker and labels exist) the attacker loss, then
+    wires an attacker) the attacker loss, then
     backpropagates the combined objective to every parameter in
     ``state.obf_params()``. Attacker and discriminator weights are treated
     as constants here.
@@ -512,7 +488,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     dz = dz_in[:, :d] if concat else dz_in
 
     l_att = None
-    if state.Wa is not None and batch.privacy_mask.size:
+    if state.Wa is not None:
         l_att, dz_att, _, _ = attacker_loss(z, state.Wa, state.ba,
                                             batch.privacy_onehot, batch.privacy_mask)
         if lam:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -193,6 +193,11 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     """
     cfg = cfg.resolved()
     start = time.perf_counter()
+    spec = VARIANT_SPECS[cfg.variant]
+    # every utility head, and a purging variant's attacker, trains on labeled nodes
+    for name in schema.utility_attributes + ((schema.private_attribute,) if spec.purges else ()):
+        if not (g.attributes[name] > 0).any():
+            raise InputError(f"attribute '{name}' has no labeled node to train on")
 
     split = edge_split(g, cfg)
     batch = prepare_batch(g, schema, cfg.variant, split.train_edges)
@@ -209,7 +214,6 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                                  Rng(derive_seed(cfg.seed, "negatives")))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
-    spec = VARIANT_SPECS[cfg.variant]
     opt_obf = Adam(state.obf_params(), lr=cfg.lr)
     opt_att = Adam(state.attacker_params(), lr=cfg.lr_att) if spec.purges else None
     opt_dis = Adam(state.disc_params(), lr=cfg.lr_dis) if spec.disentangles else None

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -421,6 +422,104 @@ class TestExitCodes:
         assert r.returncode == 3, r.stderr
         assert len(r.stderr.splitlines()) == 1, r.stderr
         assert r.stderr.startswith("numeric failure:") and "at iteration" in r.stderr, r.stderr
+
+
+def _data_config(tmp_path, edges, rows, model=None, eval_section=None,
+                 schema=(("private", 2, "private"), ("utility", 3, "utility"))):
+    """A config whose 'data' section reads the given edge pairs and
+    attribute rows (node id first)."""
+    (tmp_path / "edges.tsv").write_text("".join(f"{u}\t{v}\n" for u, v in edges))
+    (tmp_path / "attributes.csv").write_text(
+        ",".join(["node_id"] + [name for name, _, _ in schema]) + "\n"
+        + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    return write_config(tmp_path, synth=None, model=model or {}, eval=eval_section or {}, data={
+        "edges": str(tmp_path / "edges.tsv"), "attributes": str(tmp_path / "attributes.csv"),
+        "schema": {name: {"classes": m, "role": role} for name, m, role in schema}})
+
+
+def _synth_with_blank_column(tmp_path, column, variant):
+    """The n=60 test graph of write_config, its attribute column ``column``
+    set to 0 (missing) on every node."""
+    assert main(["synth", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "attributes.csv").read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    rows = [[0 if i == j else int(v) for i, v in enumerate(line.split(","))]
+            for line in lines[1:]]
+    edges = [line.split("\t") for line in (tmp_path / "edges.tsv").read_text().splitlines()]
+    return _data_config(tmp_path, edges, rows, model={"variant": variant, "T": 2},
+                        schema=(("private", 2, "private"), ("utility", 3, "utility"),
+                                ("feature", 3, "feature")))
+
+
+class TestDataTooThinToTrain:
+    """Data that leaves a loss with nothing to train on exits 2 with one line."""
+
+    @pytest.mark.parametrize("variant", ["GAE", "GAE_RM", "APDGE", "APPGE", "APGE",
+                                         "APGE_NOEXP"])
+    def test_unlabeled_utility_attribute(self, tmp_path, capsys, variant):
+        config = _synth_with_blank_column(tmp_path, "utility", variant)
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: attribute 'utility' has no labeled node to train on\n"
+
+    @pytest.mark.parametrize("variant", ["APPGE", "APGE", "APGE_NOEXP"])
+    def test_unlabeled_private_attribute_of_a_purging_variant(self, tmp_path, capsys, variant):
+        config = _synth_with_blank_column(tmp_path, "private", variant)
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: attribute 'private' has no labeled node to train on\n"
+
+    @pytest.mark.parametrize("variant", ["GAE", "GAE_RM", "APDGE"])
+    def test_unlabeled_private_attribute_without_an_attacker_trains(self, tmp_path, capsys,
+                                                                     variant):
+        config = _synth_with_blank_column(tmp_path, "private", variant)
+        assert main(["train", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_three_edges_leave_an_empty_split_side(self, tmp_path, capsys):
+        config = _data_config(tmp_path, [(0, 1), (1, 2), (2, 3)],
+                              [(i, 1 + i % 2, 1 + i % 3) for i in range(4)])
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: holding out 0 of 3 edges leaves an empty split side\n"
+
+    def test_two_labeled_nodes_leave_an_empty_split_side(self, tmp_path, capsys):
+        config = _data_config(tmp_path, [(i, i + 1) for i in range(5)],
+                              [(i, i if i < 3 else 0, 1 + i % 3) for i in range(6)],
+                              eval_section={"fraction": 0.1})
+        emb = tmp_path / "z.csv"
+        emb.write_text("z_0\n" + "".join(f"{i}.0\n" for i in range(6)))
+        assert main(["attack", "--config", str(config), "--embeddings", str(emb)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: a 0.1 split of 2 labeled nodes leaves an empty side\n"
+
+
+def _address_space_of_2_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command,overrides,schema", [
+    ("train", {"synth": {"n": 50}, "model": {"hidden": 1000000000}}, None),
+    ("train", {"synth": {"n": 50}, "model": {"d": 100000000}}, None),
+    ("synth", {"synth": {"n": 3000000000}}, None),
+    ("train", {}, (("private", 2, "private"), ("utility", 2, "utility"),
+                   ("big", 2000000000, "feature"))),
+], ids=["hidden", "d", "synth-n", "feature-classes"])
+def test_out_of_memory_is_one_line(tmp_path, command, overrides, schema):
+    """Each probe asks for GiBs more than the 2 GiB of address space it runs
+    with, which no probe may run without."""
+    if schema:
+        config = _data_config(tmp_path, [(i, i + 1) for i in range(11)],
+                              [(i, 1 + i % 2, 1 + i // 2 % 2, 1 + i) for i in range(12)],
+                              schema=schema)
+    else:
+        config = write_config(tmp_path, **overrides)
+    r = subprocess.run([sys.executable, "-m", "privemb", command, "--config", str(config)],
+                       capture_output=True, text=True, timeout=60,
+                       preexec_fn=_address_space_of_2_gib)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("out of memory: Unable to allocate") and \
+        r.stderr.count("\n") == 1, r.stderr
 
 
 @pytest.fixture(scope="module")

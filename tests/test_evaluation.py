@@ -23,7 +23,7 @@ from privemb.evaluation import (
     sweep,
     write_report,
 )
-from privemb.graphcore import AttributeSchema, EdgeSplit, Graph, InputError, split_edges
+from privemb.graphcore import AttributeSchema, Graph, InputError, split_edges
 from privemb.numkit import NumericError, Rng, derive_seed, softmax_cross_entropy
 from privemb.training import TrainConfig
 
@@ -62,14 +62,6 @@ class TestMetrics:
         pred = np.array([1, 1, 2])
         # class 3 never appears: macro mean still divides by 3
         assert_close(macro_f1(true, pred, 3), 2.0 / 3.0, tol=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            accuracy([1, 2], [1])
-        with pytest.raises(ValueError):
-            macro_f1([], [], 2)
-        with pytest.raises(ValueError):
-            macro_f1([1], [1], 0)
 
     def test_bounded(self):
         rng = Rng(0)
@@ -232,11 +224,6 @@ class TestClassifiers:
         assert evaluation._KNN_CHUNK_BYTES == 4 * 2**20
         assert traced_peak(evaluation._knn_nearest, q, x, 5) < evaluation._KNN_CHUNK_BYTES // 2
 
-    def test_label_range_checked(self):
-        with pytest.raises(ValueError):
-            fit_classifier(ClassifierSpec(), np.ones((3, 2)),
-                           np.array([0, 1, 2]), 2, seed=0)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ClassifierSpec(kind="svm")
@@ -321,10 +308,6 @@ def test_data_faults_are_input_errors():
             privacy_eval(z, labels, mask, 2, spec, repeats=1)
     with pytest.raises(InputError, match="training side"):
         privacy_eval(z[:2], labels[:2], np.array([0, 1]), 2, spec, repeats=1)
-    empty = np.empty((0, 2), dtype=np.int64)
-    pairs = np.array([[0, 1]])
-    with pytest.raises(InputError, match="empty side"):
-        link_eval(z, EdgeSplit(pairs, empty, pairs), spec)
     # parameters, not data: these stay plain configuration errors
     for kwargs in ({"fraction": 0.05}, {"repeats": 0}):
         with pytest.raises(ValueError) as err:
@@ -511,15 +494,3 @@ class TestSweep:
         assert methods == {"APGE[lambda=0]", "APGE[lambda=1]"}
         tasks = {r.task for r in rows}
         assert tasks == {"privacy", "utility:utility", "link"}
-
-    def test_unknown_axis(self, small_synth):
-        g, schema = small_synth
-        with pytest.raises(ValueError):
-            sweep("epsilon", [1], g, schema, TrainConfig(), ClassifierSpec(),
-                  repeats=1, fraction=0.5, utility_fraction=0.7)
-
-    def test_empty_values(self, small_synth):
-        g, schema = small_synth
-        with pytest.raises(ValueError):
-            sweep("lambda", [], g, schema, TrainConfig(variant="APGE"),
-                  ClassifierSpec(), repeats=1, fraction=0.5, utility_fraction=0.7)

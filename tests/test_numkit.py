@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from privemb.numkit import (
     Adam,
     Rng,
-    ShapeError,
     bce_with_logits,
     derive_seed,
     grad_check,
@@ -29,11 +28,6 @@ def test_spmm_matches_dense():
     s = sp.csr_matrix(dense)
     b = rng.random((5, 4))
     assert_close(spmm(s, b), s.toarray() @ b, tol=1e-12)
-
-
-def test_spmm_rejects_dense_left():
-    with pytest.raises(ShapeError):
-        spmm(np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_relu_and_backward():
@@ -178,11 +172,6 @@ def test_cross_entropy_mask_zeroes_gradient_outside():
     assert np.any(grad[mask] != 0.0)
 
 
-def test_cross_entropy_empty_mask_raises():
-    with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros((2, 2)), np.eye(2), [])
-
-
 @pytest.mark.parametrize("n,m", [(7, 2), (12, 4)])
 def test_cross_entropy_grad_kernel_matches_full_mask(n, m):
     rng = Rng(31 + m)
@@ -224,11 +213,6 @@ def test_cross_entropy_grad_kernel_matches_old_row_max(data, n, m):
     s = data.draw(st.integers(0, n - 1))
     block = softmax_cross_entropy_grad(x[s:].copy(), y[s:], np.empty((n - s, m)), n)
     assert np.array_equal(block, want[s:])
-
-
-def test_cross_entropy_grad_kernel_checks():
-    with pytest.raises(ShapeError):
-        softmax_cross_entropy_grad(np.zeros((2, 3)), np.eye(2), np.empty((2, 3)), 2)
 
 
 def test_adam_in_place_matches_expression():
@@ -274,15 +258,6 @@ def test_adam_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_adam_state_mismatch():
-    p = {"w": np.zeros(2)}
-    opt = Adam(p, lr=0.1)
-    with pytest.raises(ShapeError):
-        opt.step({"q": np.zeros(2)}, {"q": np.zeros(2)})
-    with pytest.raises(ShapeError):
-        opt.step({"w": np.zeros(3)}, {"w": np.zeros(3)})
-
-
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(0, "edges")
     assert a == derive_seed(0, "edges")
@@ -297,8 +272,6 @@ def test_glorot_bounds():
     assert w.shape == (2, 4)
     bound = math.sqrt(6.0 / 6.0)
     assert np.all(np.abs(w) <= bound)
-    with pytest.raises(ShapeError):
-        rng.glorot(0, 4)
 
 
 def test_randn_moments():
@@ -309,11 +282,6 @@ def test_randn_moments():
     # same seed, same bits
     y = Rng(17).randn(100000, 1).ravel()
     assert np.array_equal(x, y)
-
-
-def test_randn_rejects_bad_shape():
-    with pytest.raises(ShapeError):
-        Rng(1).randn(0, 3)
 
 
 def test_grad_check_quadratic_exact():
