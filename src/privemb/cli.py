@@ -105,7 +105,7 @@ def resolve_config(raw: dict) -> dict:
         "model": _merge_section(MODEL_DEFAULTS, raw.get("model"), "model"),
         "eval": _merge_section(EVAL_DEFAULTS, raw.get("eval"), "eval"),
     }
-    if not isinstance(conf["seed"], int):
+    if not _is_kind(conf["seed"], int):
         raise ConfigError("seed must be an integer")
     if not isinstance(conf["output"], str):
         raise ConfigError("output must be a string")
@@ -184,7 +184,7 @@ def cmd_train(conf: dict, args) -> int:
     cfg = build_train_config(conf)
     out = _out_dir(conf, args)
     result = train(g, schema, cfg)
-    export_embeddings(result, out / "embeddings.csv")
+    export_embeddings(result.Z, out / "embeddings.csv")
     export_trace(result.trace, out / "loss_trace.csv")
     _echo_config(conf, out)
     last = result.trace[-1]

@@ -50,17 +50,13 @@ class EvalRecord:
     repeats: int
 
 
-def accuracy(y_true, y_pred) -> float:
-    y_true = np.asarray(y_true).ravel()
-    y_pred = np.asarray(y_pred).ravel()
+def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def macro_f1(y_true, y_pred, num_classes: int) -> float:
+def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
     """Unweighted mean of per-class F1; a class with no predictions and no
     positives contributes 0."""
-    y_true = np.asarray(y_true).ravel()
-    y_pred = np.asarray(y_pred).ravel()
     scores = []
     for c in range(1, num_classes + 1):
         tp = np.sum((y_pred == c) & (y_true == c))
@@ -250,13 +246,11 @@ def fit_classifier(spec: ClassifierSpec, x, labels, num_classes: int, seed: int,
     """Train one battery member on codes 1..num_classes; the returned
     predictor maps feature rows back to codes. A non-finite fit raises
     NumericError naming ``task`` and the kind."""
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
     inner = _FITTERS[spec.kind](x, labels - 1, num_classes, spec, seed,
                                 f"{task} {spec.kind} fit".lstrip())
 
     def predict(q):
-        return inner(np.asarray(q, dtype=np.float64)) + 1
+        return inner(q) + 1
 
     return predict
 
@@ -286,9 +280,6 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
         raise ValueError("fraction must lie in [0.1, 0.9]")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    z = np.asarray(z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    mask = np.asarray(mask, dtype=np.int64).ravel()
     if mask.size == 0:
         raise InputError("no labeled nodes to evaluate")
     accs = []
@@ -367,11 +358,8 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     predictor keeps the training one: what is held at once is checked
     against training.LINK_MEMORY_BUDGET before anything is allocated.
     """
-    z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
-    train_pos = np.asarray(split.train_edges, dtype=np.int64)
-    held_pos = np.asarray(split.heldout_pos, dtype=np.int64)
-    held_neg = np.asarray(split.heldout_neg, dtype=np.int64)
+    train_pos, held_pos, held_neg = split.train_edges, split.heldout_pos, split.heldout_neg
     tables = (2 * len(train_pos), len(held_pos) + len(held_neg))
     need = 8 * z.shape[1] * (sum(tables) if spec.kind == "knn" else max(tables))
     if need > training.LINK_MEMORY_BUDGET:

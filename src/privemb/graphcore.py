@@ -53,8 +53,8 @@ class AttributeSchema:
             if self.roles[name] not in ROLES:
                 raise InputError(f"unknown role '{self.roles[name]}' for '{name}'")
             m = self.classes[name]
-            if not isinstance(m, int) or m < 1:
-                raise InputError(f"attribute '{name}' needs a positive class count")
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+                raise InputError(f"attribute '{name}' needs a positive integer 'classes'")
             if self.roles[name] in ("private", "utility") and m < 2:
                 raise InputError(f"attribute '{name}' needs at least 2 classes")
         private = [n for n in self.names if self.roles[n] == "private"]
@@ -251,7 +251,6 @@ def adjacency_with_self_loops(n: int, edges: np.ndarray) -> sp.csr_matrix:
     """Symmetric 0/1 adjacency over the given edges plus the identity."""
     import scipy.sparse as sp
 
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
     data = np.ones(rows.size, dtype=np.float64)
@@ -306,9 +305,8 @@ class NodeSplit:
     test: np.ndarray
 
 
-def split_nodes(mask, fraction: float, seed: int) -> NodeSplit:
-    """Shuffle the labeled nodes and cut them train/test at ``fraction``."""
-    mask = np.asarray(mask, dtype=np.int64).ravel()
+def split_nodes(mask: np.ndarray, fraction: float, seed: int) -> NodeSplit:
+    """Shuffle the labeled node indices ``mask`` and cut them train/test at ``fraction``."""
     if mask.size < 2:
         raise InputError("need at least two labeled nodes to split")
     shuffled = mask[Rng(seed).permutation(mask.size)]
@@ -356,7 +354,7 @@ def sample_non_edges(n: int, taken, count: int, rng: Rng) -> np.ndarray:
     pair, taken or accepted before; a block may draw past the last key
     accepted. The caller checks that enough free pairs exist."""
     # sorted, and a sentinel above every key keeps each lookup in range
-    taken = np.sort(np.append(np.asarray(taken, dtype=np.int64), n * n))
+    taken = np.sort(np.append(taken, n * n))
     keys = np.empty(0, dtype=np.int64)
     while keys.size < count:
         u, v = rng.integers(0, n, size=((count - keys.size) * 5 // 4 + 64, 2)).T

@@ -200,13 +200,6 @@ def encoder_backward(dz, hidden, lap, lx, w1):
     return dw0, dw1
 
 
-def concat_privacy(z, privacy_onehot) -> np.ndarray:
-    """Append the one-hot private label to each row; missing labels append zeros."""
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(privacy_onehot, dtype=np.float64)
-    return np.hstack([z, y])
-
-
 # rows per block of the upper triangle in the exact link loss
 _TRI_ROWS = 64
 
@@ -226,7 +219,6 @@ def link_loss_exact(z_in, keys, pos_weight):
     """
     import scipy.sparse as sp
 
-    z_in = np.asarray(z_in, dtype=np.float64)
     n = z_in.shape[0]
     size = float(n * n)
     rows, cols = np.divmod(keys, n)
@@ -391,8 +383,6 @@ def disc_loss(real, fake, wd1, bd1, wd2, bd2):
     forward pass serves both the discriminator step and gradient checks
     through the encoder.
     """
-    real = np.asarray(real, dtype=np.float64)
-    fake = np.asarray(fake, dtype=np.float64)
     q_r, pre_r, hid_r = _disc_forward(real, wd1, bd1, wd2, bd2)
     q_f, pre_f, hid_f = _disc_forward(fake, wd1, bd1, wd2, bd2)
     loss = float(softplus(-q_r).mean()) + float(softplus(q_f).mean())
@@ -409,7 +399,6 @@ def gen_fool_loss(fake, wd1, bd1, wd2, bd2):
 
     Returns (loss, d_fake); discriminator parameters are left alone.
     """
-    fake = np.asarray(fake, dtype=np.float64)
     q, pre, hidden = _disc_forward(fake, wd1, bd1, wd2, bd2)
     loss = float(softplus(-q).mean())
     dq = (sigmoid(q) - 1.0) / q.size
@@ -471,7 +460,8 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     z_code, cache = forward
     z = release_from_code(state, z_code)
     concat = VARIANT_SPECS[state.variant].disentangles
-    z_in = concat_privacy(z, batch.privacy_onehot) if concat else z
+    # a disentangling decoder also reads the one-hot private label (zeros if missing)
+    z_in = np.hstack([z, batch.privacy_onehot]) if concat else z
 
     l_link, dz_in = link_loss(z_in, batch, draw_negatives() if draw_negatives else None)
     grads = {}

@@ -44,18 +44,15 @@ def pin_blas_threads() -> None:
 
 def spmm(s, b: np.ndarray) -> np.ndarray:
     """Sparse (CSR) times dense."""
-    b = np.asarray(b, dtype=np.float64)
-    return np.asarray(s @ b)
+    return s @ b
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(cotangent: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Subgradient convention: zero at the kink."""
-    cotangent = np.asarray(cotangent, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
     return cotangent * (x > 0.0)
 
 
@@ -66,34 +63,28 @@ def _exp_neg_abs(x, out=None):
     return np.exp(t, out=t)
 
 
-def sigmoid(x):
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: with e = exp(-|x|) it is
     1 / (1 + e) for x >= 0 and e / (1 + e) below, so exp never overflows."""
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    e = _exp_neg_abs(arr)
-    out = np.where(arr >= 0, 1.0, e)
+    e = _exp_neg_abs(x)
+    out = np.where(x >= 0, 1.0, e)
     e += 1.0
     out /= e
-    return float(out[0]) if scalar else out
+    return out
 
 
-def softplus(x, out=None, scratch=None):
+def softplus(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), without overflow:
     +inf stays inf, -inf gives 0 and NaN propagates.
 
     ``out`` (which may be ``x`` itself) and ``scratch`` are optional float64
     arrays of x's shape; given both, the call allocates nothing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     t = _exp_neg_abs(x, out=scratch)
     np.log1p(t, out=t)
     out = np.maximum(x, 0.0, out=out)
     out += t
-    return float(out[0]) if scalar else out
+    return out
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray, pos_weight: float = 1.0):
@@ -104,28 +95,24 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray, pos_weight: float =
     Returns (loss, grad) where grad is the exact derivative with respect to
     the logits, including the mean scaling.
     """
-    x = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    per = pos_weight * t * softplus(-x) + (1.0 - t) * softplus(x)
+    per = pos_weight * targets * softplus(-logits) + (1.0 - targets) * softplus(logits)
     loss = float(per.mean())
-    s = sigmoid(x)
-    grad = (pos_weight * t * (s - 1.0) + (1.0 - t) * s) / x.size
+    s = sigmoid(logits)
+    grad = (pos_weight * targets * (s - 1.0) + (1.0 - targets) * s) / logits.size
     return loss, grad
 
 
-def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask):
-    """Mean softmax cross-entropy over the rows selected by ``mask``.
+def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask: np.ndarray):
+    """Mean softmax cross-entropy over the rows selected by ``mask``, a 1-D
+    array of row indices.
 
     Rows outside the mask contribute nothing and receive zero gradient.
     The masked rows of ``onehot`` are one-hot and the mask is not empty.
     """
-    x = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(onehot, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.int64).ravel()
-    ym = y[mask]
+    ym = onehot[mask]
     # the kernel leaves log p in its scratch copy of the masked logits
-    logp = x[mask]
-    grad = np.zeros_like(x)
+    logp = logits[mask]
+    grad = np.zeros_like(logits)
     grad[mask] = softmax_cross_entropy_grad(logp, ym, np.empty_like(logp), mask.size)
     return float(-(ym * logp).sum() / mask.size), grad
 
@@ -156,15 +143,17 @@ def softmax_cross_entropy_grad(logits: np.ndarray, onehot: np.ndarray,
     return out
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam(object):
     """Bias-corrected Adam over a named collection of parameter arrays."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -178,25 +167,25 @@ class Adam(object):
         p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), evaluated in that order.
         """
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, p in params.items():
-            g = np.asarray(grads[k], dtype=np.float64)
+            g = grads[k]
             m = self.m[k]
             v = self.v[k]
             s1, s2 = self._scratch[k]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
             m += s1
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=s2)
-            s2 *= 1.0 - self.beta2
+            s2 *= 1.0 - ADAM_BETA2
             v += s2
             np.divide(m, b1c, out=s1)
             s1 *= self.lr
             np.divide(v, b2c, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += self.eps
+            s2 += ADAM_EPS
             s1 /= s2
             p -= s1
 

@@ -127,7 +127,6 @@ class EmbeddingResult:
     Z: np.ndarray
     z_code: np.ndarray
     trace: list
-    config: TrainConfig
     wall_time: float
     edge_split: EdgeSplit
 
@@ -275,16 +274,14 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         Z=z,
         z_code=z_code,
         trace=trace,
-        config=cfg,
         wall_time=time.perf_counter() - start,
         edge_split=split,
     )
 
 
-def export_embeddings(result, path) -> None:
-    """Write the released embedding as CSV with 17 significant digits,
+def export_embeddings(z: np.ndarray, path) -> None:
+    """Write an (n, d) float64 embedding as CSV with 17 significant digits,
     enough for a bit-exact float64 round-trip, a block of rows at a time."""
-    z = result.Z if hasattr(result, "Z") else np.asarray(result, dtype=np.float64)
     header = ",".join(f"z_{j}" for j in range(z.shape[1]))
     row = ",".join(["%.17g"] * z.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

@@ -282,24 +282,30 @@ class TestExitCodes:
         assert r.returncode == 2, (fault, r.stderr)
         assert "input error" in r.stderr and f"line 6: {message}" in r.stderr
 
-    @pytest.mark.parametrize("override,code", [
-        ({"model": {"T": "5"}}, 1),
-        ({"eval": {"repeats": "3"}}, 1),
-        ({"model": {"d": 8.5}}, 1),
-        ({"synth": {"n": 60.5}}, 1),
-        ({"output": 5}, 1),
-        ({"model": {"hidden": True}}, 1),
+    @pytest.mark.parametrize("override,code,key", [
+        ({"model": {"T": "5"}}, 1, "'model.T'"),
+        ({"eval": {"repeats": "3"}}, 1, "'eval.repeats'"),
+        ({"model": {"d": 8.5}}, 1, "'model.d'"),
+        ({"synth": {"n": 60.5}}, 1, "'synth.n'"),
+        ({"output": 5}, 1, "output"),
+        ({"model": {"hidden": True}}, 1, "'model.hidden'"),
+        ({"seed": True}, 1, "seed"),
         ({"synth": None, "data": {"edges": "e.tsv", "attributes": "a.csv",
-                                  "schema": [1]}}, 2),
+                                  "schema": [1]}}, 2, "schema"),
+        ({"synth": None, "data": {"edges": "e.tsv", "attributes": "a.csv", "schema": {
+            "private": {"classes": 2, "role": "private"},
+            "utility": {"classes": 2, "role": "utility"},
+            "feature": {"classes": True, "role": "feature"}}}}, 2, "'feature'"),
     ], ids=["T-str", "repeats-str", "d-float", "n-float", "output-int", "hidden-bool",
-            "schema-list"])
-    def test_wrongly_typed_value_is_one_error_line(self, tmp_path, override, code):
+            "seed-bool", "schema-list", "classes-bool"])
+    def test_wrongly_typed_value_is_one_error_line(self, tmp_path, override, code, key):
         config = write_config(tmp_path, **override)
         r = run_cli("train", "--config", str(config))
         assert r.returncode == code, r.stderr
         prefix = "config error:" if code == 1 else "input error:"
         assert "Traceback" not in r.stderr
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith(prefix), r.stderr
+        assert key in r.stderr, r.stderr
 
     @pytest.mark.parametrize("axis,eval_override", [
         ("lambda", {"lambda_values": [None]}),
@@ -668,6 +674,20 @@ def test_input_forms(tmp_path, capsys, form):
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         assert all(np.array_equal(got[2][k], want[2][k]) for k in want[2])
         assert np.array_equal(got[3], want[3])
+
+
+@pytest.mark.parametrize("command,key", [("attack", "fraction"),
+                                         ("eval-attr", "utility_fraction")])
+@pytest.mark.parametrize("value,code", [(0.05, 1), (0.9, 0), (0.95, 1)])
+def test_eval_fraction_bounds(tmp_path, capsys, command, key, value, code):
+    """A training fraction outside [0.1, 0.9] is one config error line."""
+    paths = _write_inputs(tmp_path / "in")
+    config = write_config(tmp_path, synth=None, eval={"repeats": 1, key: value}, data={
+        "edges": str(paths["edges"]), "attributes": str(paths["attributes"]), "schema": _SCHEMA})
+    assert main([command, "--config", str(config), "--embeddings", str(paths["embeddings"])]) \
+        == code
+    err = capsys.readouterr().err
+    assert err == ("config error: fraction must lie in [0.1, 0.9]\n" if code else ""), err
 
 
 def test_data_section_roundtrip(tmp_path):

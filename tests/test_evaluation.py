@@ -309,7 +309,7 @@ def test_data_faults_are_input_errors():
     with pytest.raises(InputError, match="training side"):
         privacy_eval(z[:2], labels[:2], np.array([0, 1]), 2, spec, repeats=1)
     # parameters, not data: these stay plain configuration errors
-    for kwargs in ({"fraction": 0.05}, {"repeats": 0}):
+    for kwargs in ({"fraction": 0.05}, {"fraction": 0.95}, {"repeats": 0}):
         with pytest.raises(ValueError) as err:
             privacy_eval(z, labels, np.arange(4), 2, spec, **kwargs)
         assert not isinstance(err.value, InputError)

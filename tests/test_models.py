@@ -16,7 +16,6 @@ from privemb.models import (
     Batch,
     attacker_loss,
     attr_loss,
-    concat_privacy,
     disc_loss,
     encoder_backward,
     encoder_forward,
@@ -623,15 +622,27 @@ class TestObfLoss:
 # ---------------------------------------------------------------- assembly
 
 
-def test_concat_privacy_appends_labels():
-    z = np.ones((3, 2))
-    y = np.array([[1.0, 0], [0, 1.0], [0, 0]])  # last row unlabeled
-    out = concat_privacy(z, y)
-    assert out.shape == (3, 4)
-    assert np.array_equal(out[:, 2:], y)
-
-
 class TestObfuscatorLosses:
+    @pytest.mark.parametrize("variant", ["GAE", "APDGE", "APGE_NOEXP"])
+    def test_decoder_input_appends_the_private_label(self, variant):
+        """A disentangling variant's heads read the released rows with the
+        one-hot private label appended, zeros where it is missing; the
+        others read the released rows alone."""
+        batch = _tiny_batch(feat_dim=8)
+        batch.privacy_onehot[3] = 0.0  # last node unlabeled
+        batch.privacy_mask = np.arange(3)
+        st = _init(variant)
+        _, z = release_embedding(st, batch)
+        with mock.patch.object(models, "attr_loss", wraps=models.attr_loss) as head:
+            obfuscator_losses(st, batch)
+        z_in = head.call_args.args[0]
+        assert np.array_equal(z_in[:, :z.shape[1]], z)
+        if models.VARIANT_SPECS[variant].disentangles:
+            assert np.array_equal(z_in[:, z.shape[1]:], batch.privacy_onehot)
+            assert not z_in[3, z.shape[1]:].any()
+        else:
+            assert z_in.shape == z.shape
+
     def test_gradient_keys_match_params(self, small_synth):
         g, schema = small_synth
         split = split_edges(g, 0.15, 99)

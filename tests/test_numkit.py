@@ -39,26 +39,23 @@ def test_relu_and_backward():
 
 
 def test_sigmoid_values_and_extremes():
-    assert_close(sigmoid(0.0), 0.5)
     assert_close(sigmoid(np.array([0.0]))[0], 0.5)
     # stable far into the tails
-    assert sigmoid(700.0) == 1.0
-    assert sigmoid(-700.0) > 0.0
-    assert sigmoid(-700.0) < 1e-300 or sigmoid(-700.0) < 1e-200
+    hi, lo = sigmoid(np.array([700.0, -700.0]))
+    assert hi == 1.0
+    assert lo > 0.0
+    assert lo < 1e-300 or lo < 1e-200
 
 
 def _masked_sigmoid(x):
     """The logistic function as it was computed before the branch-free form:
     a boolean-mask gather and scatter per sign."""
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
+    return out
 
 
 _EDGE_VALUES = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308,
@@ -74,20 +71,14 @@ def test_sigmoid_is_bitwise_the_masked_form(values):
         want = _masked_sigmoid(x)
         got = sigmoid(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    for v in values[:3] + _EDGE_VALUES:
-        with np.errstate(all="ignore"):
-            s = sigmoid(v)
-            ref = _masked_sigmoid(v)
-        assert type(s) is float
-        assert np.array([s]).view(np.uint64)[0] == np.array([ref]).view(np.uint64)[0]
 
 
 def test_softplus_known_values():
-    assert_close(softplus(0.0), math.log(2.0))
-    assert_close(softplus(-2.0), math.log(1 + math.exp(-2.0)))
+    zero, neg, big = softplus(np.array([0.0, -2.0, 800.0]))
+    assert_close(zero, math.log(2.0))
+    assert_close(neg, math.log(1 + math.exp(-2.0)))
     # linear regime for large inputs
-    assert_close(softplus(800.0), 800.0, tol=1e-9)
-    assert type(softplus(0.0)) is float
+    assert_close(big, 800.0, tol=1e-9)
 
 
 @given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-40.0, 40.0),
@@ -110,7 +101,6 @@ def test_softplus_special_values():
     assert got[1] == 0.0
     assert np.isnan(got[2])
     assert got[3] == 0.0 and got[4] == 1e308
-    assert math.isnan(softplus(float("nan")))
 
 
 def test_bce_known_values():
@@ -155,7 +145,7 @@ def test_cross_entropy_hand_value():
     # single row, p(correct) = 0.75 -> loss = -ln 0.75
     x = np.array([[math.log(3.0), 0.0]])
     y = np.array([[1.0, 0.0]])
-    loss, _ = softmax_cross_entropy(x, y, [0])
+    loss, _ = softmax_cross_entropy(x, y, np.array([0]))
     assert_close(loss, 0.2876820724517809)
 
 

@@ -102,14 +102,15 @@ class TestTrain:
     def test_all_variants_run(self, small_synth):
         g, schema = small_synth
         for variant in VARIANTS:
-            res = train(g, schema, quick_cfg(variant))
-            d = res.config.d
-            assert res.Z.shape == (g.n, d)
+            cfg = quick_cfg(variant)
+            res = train(g, schema, cfg)
+            resolved = cfg.resolved()
+            assert res.Z.shape == (g.n, resolved.d)
             assert np.all(np.isfinite(res.Z))
-            assert len(res.trace) == res.config.iterations
+            assert len(res.trace) == resolved.iterations
             assert res.wall_time > 0.0
             if variant in ("APDGE", "APGE", "APGE_NOEXP"):
-                assert res.z_code.shape == (g.n, res.config.d_prime)
+                assert res.z_code.shape == (g.n, resolved.d_prime)
             else:
                 assert res.z_code is res.Z or np.array_equal(res.z_code, res.Z)
 
@@ -313,7 +314,7 @@ class TestExport:
         g, schema = small_synth
         res = train(g, schema, quick_cfg("APGE"))
         path = tmp_path / "emb.csv"
-        export_embeddings(res, path)
+        export_embeddings(res.Z, path)
         back = load_embeddings(path)
         assert back.shape == res.Z.shape
         assert np.array_equal(back, res.Z)
