@@ -109,6 +109,16 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("seed must be an integer")
     if not isinstance(conf["output"], str):
         raise ConfigError("output must be a string")
+    ev = conf["eval"]
+    # the audit's training fractions, one per audit or one per sweep value
+    for key, values in (("fraction", [ev["fraction"]]),
+                        ("utility_fraction", [ev["utility_fraction"]]),
+                        ("fractions", ev["fractions"])):
+        if not all(0.1 <= f <= 0.9 for f in values):
+            raise ConfigError(f"'eval.{key}' must lie in [0.1, 0.9]")
+    for key in ("repeats", "sweep_repeats"):
+        if ev[key] < 1:
+            raise ConfigError(f"'eval.{key}' must be at least 1")
     known = {"seed", "output", "model", "eval", "data", "synth"}
     for key in raw:
         if key not in known:

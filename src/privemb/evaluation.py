@@ -276,10 +276,6 @@ def _summary(method, task, spec, fraction, accs, f1s) -> list:
 
 def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
                          repeats, method, task):
-    if not 0.1 <= fraction <= 0.9:
-        raise ValueError("fraction must lie in [0.1, 0.9]")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     if mask.size == 0:
         raise InputError("no labeled nodes to evaluate")
     accs = []

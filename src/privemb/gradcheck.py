@@ -106,10 +106,10 @@ def _loss_cases(seed):
     cases.append(("loss/link_exact", link_exact_fn, {"z": z0.copy()}))
 
     neg_rng = Rng(derive_seed(seed, "negs"))
-    neg_keys = sample_negative_pairs(batch, 3 * batch.link_keys.size, neg_rng)
+    negatives = sample_negative_pairs(batch, 3 * batch.link_keys.size, neg_rng)
 
     def link_sampled_fn(p):
-        loss, dz = link_loss(p["z"], batch, neg_keys)
+        loss, dz = link_loss(p["z"], batch, negatives)
         return loss, {"z": dz}
 
     cases.append(("loss/link_sampled", link_sampled_fn, {"z": z0.copy()}))

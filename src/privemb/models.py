@@ -138,8 +138,9 @@ class Batch:
 
     The targets are 0/1, so ``link_keys`` holds them as the sorted int64
     keys i*n+j of their nonzeros: the training edges in both directions
-    plus the self-loops, 8 bytes per positive pair. Both link losses and
-    the negative sampler read them."""
+    plus the self-loops, 8 bytes per positive pair. The exact link loss and
+    the negative sampler read them; the sampled link loss reads the same
+    pairs as L's own CSR pattern, from which they are derived."""
 
     laplacian: sp.csr_matrix
     lx: np.ndarray
@@ -194,9 +195,10 @@ def encoder_backward(dz, hidden, lap, lx, w1):
     dmix = spmm(lap, dz)
     dw1 = hidden.T @ dmix
     dhidden = dmix @ w1.T
-    dpre = relu_backward(dhidden, hidden)
-    # X.T @ L @ dpre, with L symmetric (normalize_adjacency builds it so)
-    dw0 = lx.T @ dpre
+    # the ReLU's subgradient, zero at the kink, applied in place
+    np.multiply(dhidden, hidden > 0.0, out=dhidden)
+    # X.T @ L @ dhidden, with L symmetric (normalize_adjacency builds it so)
+    dw0 = lx.T @ dhidden
     return dw0, dw1
 
 
@@ -261,19 +263,31 @@ def link_loss_exact(z_in, keys, pos_weight):
 # pairs per chunk of gathered endpoint rows in the sampled loss: two
 # gathered blocks of 512 rows of 65 floats stay in a core's L2 cache
 _PAIR_CHUNK = 512
-# pairs per block of its divmod, sigmoid and softplus: under 1 MB of temporaries
+# pairs per block of the sampler's draws and of the sampled loss's rows,
+# sigmoid and softplus: under 1 MB of temporaries
 _PAIR_BLOCK = 16384
 
 
-def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
+def _pattern_rows(indptr, start: int, stop: int) -> np.ndarray:
+    """The row of each entry start..stop-1 of a CSR pattern."""
+    first = int(np.searchsorted(indptr, start, side="right")) - 1
+    last = int(np.searchsorted(indptr, stop))
+    counts = np.diff(np.clip(indptr[first:last + 1], start, stop))
+    return np.repeat(np.arange(first, last), counts)
+
+
+def link_loss_sampled(z_in, positives, negatives, n_neg_total):
     """Balanced link loss over all positives plus sampled negatives.
 
-    Both sides are i*n+j pair keys. Scaled so that sampling every negative
-    exactly once reproduces the exact-mode value and gradient. Each side
-    works in sorted key order: the logits read their rows in sequence, the
-    loss sums in that order, and the logit gradients G form a CSR matrix
-    without a sort, so that dz = G @ z_in + G.T @ z_in. A side holds 28 bytes
-    per pair at full size: sorted keys, int32 columns, logits and gradients.
+    Each side is a CSR pattern (indptr, int32 columns) of its pairs (i, j)
+    in i*n+j key order, a repeated pair as repeated entries: the positives
+    are L's own pattern, the negatives ``sample_negative_pairs``'s. Scaled
+    so that sampling every negative exactly once reproduces the exact-mode
+    value and gradient. The logits read their rows in sequence, the loss
+    sums in key order, and the logit gradients G form a CSR matrix on the
+    side's own pattern, so that dz = G @ z_in + G.T @ z_in; the products
+    sum repeated entries. Besides its pattern a side holds 16 bytes per
+    pair: the loss terms and the gradients.
     """
     import scipy.sparse as sp
 
@@ -281,70 +295,86 @@ def link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     scale = n_neg_total / float(n * n)
     loss = 0.0
     dz = np.zeros(z_in.shape)
-    for keys, target in ((pos_keys, 1.0), (neg_keys, 0.0)):
-        keys = np.sort(keys)
-        cols = np.empty(keys.size, dtype=np.int32)
-        x = np.empty(keys.size)
-        g = np.empty(keys.size)
-        for b in range(0, keys.size, _PAIR_BLOCK):
-            rows, cols_b = np.divmod(keys[b:b + _PAIR_BLOCK], n)
-            cols[b:b + _PAIR_BLOCK] = cols_b
-            x_b = np.empty(rows.size)
-            for s in range(0, rows.size, _PAIR_CHUNK):
-                e = s + _PAIR_CHUNK
-                x_b[s:e] = np.einsum("ij,ij->i", z_in[rows[s:e]], z_in[cols_b[s:e]])
-            g[b:b + _PAIR_BLOCK] = scale * (sigmoid(x_b) - target) / keys.size
+    for (indptr, cols), target in ((positives, 1.0), (negatives, 0.0)):
+        size = cols.size
+        x = np.empty(size)
+        g = np.empty(size)
+        for b in range(0, size, _PAIR_BLOCK):
+            e = min(b + _PAIR_BLOCK, size)
+            rows, cols_b = _pattern_rows(indptr, b, e), cols[b:e]
+            x_b = np.empty(e - b)
+            for s in range(0, e - b, _PAIR_CHUNK):
+                t = s + _PAIR_CHUNK
+                x_b[s:t] = np.einsum("ij,ij->i", z_in[rows[s:t]], z_in[cols_b[s:t]])
+            g[b:e] = scale * (sigmoid(x_b) - target) / size
             # softplus(-x) against a positive target, softplus(x) against zero
             x_b *= 1.0 - 2.0 * target
-            x[b:b + _PAIR_BLOCK] = softplus(x_b, out=x_b)
+            x[b:e] = softplus(x_b, out=x_b)
         loss += float(x.mean())
-        # G straight from the sorted keys; a repeated pair stays as repeated
-        # entries, which the products sum
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        del keys, x  # before the products' n x width arrays
+        del x  # before the products' n x width arrays
         grad = sp.csr_matrix((g, cols, indptr), shape=(n, n))
         dz += grad @ z_in
         dz += grad.T @ z_in
-        del grad, g, cols  # before the next side's arrays
+        del grad, g  # before the next side's arrays
     return scale * loss, dz
 
 
-def sample_negative_pairs(batch: Batch, count: int, rng: Rng) -> np.ndarray:
-    """Keys i*n+j of ordered pairs with a zero reconstruction target, drawn
-    with replacement.
+def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
+    """The CSR pattern (indptr, int32 columns) of ``count`` ordered pairs
+    with a zero reconstruction target, drawn with replacement; a pair drawn
+    twice is two entries.
 
-    A candidate whose filter slot is clear is accepted at once; only the
-    filter's hits are looked up among the sorted ``batch.link_keys``.
+    Each round draws every candidate it still needs, at least 256, in
+    blocks of _PAIR_BLOCK rows; a draw split into blocks reads the same
+    stream as one whole draw. A candidate whose filter slot is clear is
+    accepted at once; only the filter's hits are looked up among the
+    sorted ``batch.link_keys``. The accepted keys i*n+j fill one int64
+    array, 8 bytes per pair, which is sorted in place and then holds the
+    int32 columns in its first half; the second half is given back.
     """
     n = batch.n
     pos_keys = batch.link_keys
     table, bits = batch.positive_filter()
-    out = np.empty(count, dtype=np.int64)
+    to_key = np.array([n, 1], dtype=np.int64)
+    cols = np.empty(2 * count, dtype=np.int32)
+    keys = cols.view(np.int64)
     have = 0
     while have < count:
         k = max(256, count - have)
-        # keys i*n+j of the candidates; their (k, 2) block is freed at once
-        keys = rng.integers(0, n, size=(k, 2)) @ np.array([n, 1], dtype=np.int64)
-        hits = np.flatnonzero(table[_key_slots(keys, bits)])
-        # looked up in key order, which keeps the binary searches in cache
-        hits = hits[np.argsort(keys[hits])]
-        hit_keys = keys[hits]
-        idx = np.minimum(np.searchsorted(pos_keys, hit_keys), pos_keys.size - 1)
-        accept = np.ones(k, dtype=bool)
-        accept[hits[pos_keys[idx] == hit_keys]] = False
-        keys = keys[accept][:count - have]
-        out[have:have + keys.size] = keys
-        have += keys.size
-    return out
+        for s in range(0, k, _PAIR_BLOCK):
+            # keys i*n+j of a block of candidates
+            cand = rng.integers(0, n, size=(min(_PAIR_BLOCK, k - s), 2)) @ to_key
+            hits = np.flatnonzero(table[_key_slots(cand, bits)])
+            # looked up in key order, which keeps the binary searches in cache
+            hits = hits[np.argsort(cand[hits])]
+            hit_keys = cand[hits]
+            idx = np.minimum(np.searchsorted(pos_keys, hit_keys), pos_keys.size - 1)
+            accept = np.ones(cand.size, dtype=bool)
+            accept[hits[pos_keys[idx] == hit_keys]] = False
+            cand = cand[accept][:count - have]
+            keys[have:have + cand.size] = cand
+            have += cand.size
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    # a block of columns lands on the bytes of keys already read
+    for b in range(0, count, _PAIR_BLOCK):
+        e = min(b + _PAIR_BLOCK, count)
+        cols[b:e] = keys[b:e] % n
+    # no view of the buffer is left, so it shrinks in place; refcheck would
+    # also count a tracer's or debugger's reference to ``cols`` itself
+    del keys
+    cols.resize(count, refcheck=False)
+    return indptr, cols
 
 
-def link_loss(z_in, batch: Batch, neg_keys=None):
+def link_loss(z_in, batch: Batch, negatives=None):
     """The exact loss over every pair, or the sampled one over all the
-    positives and the negative pair keys ``neg_keys``."""
-    pos_keys = batch.link_keys
-    if neg_keys is None:
-        return link_loss_exact(z_in, pos_keys, batch.pos_weight)
-    return link_loss_sampled(z_in, pos_keys, neg_keys, batch.n * batch.n - pos_keys.size)
+    positives and the ``negatives`` pattern of ``sample_negative_pairs``."""
+    if negatives is None:
+        return link_loss_exact(z_in, batch.link_keys, batch.pos_weight)
+    lap = batch.laplacian
+    return link_loss_sampled(z_in, (lap.indptr, lap.indices), negatives,
+                             batch.n * batch.n - batch.link_keys.size)
 
 
 def attr_loss(z_in, wc, onehot, mask):
@@ -444,10 +474,10 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     ``state.obf_params()``. Attacker and discriminator weights are treated
     as constants here.
 
-    ``draw_negatives`` returns the negative pair keys of a sampled link
+    ``draw_negatives`` returns the negatives' pattern of a sampled link
     loss; None selects the exact loss. It is called as ``link_loss``'s
-    argument, so the keys are freed when the link loss returns, before the
-    backward pass.
+    argument, so the pattern is freed when the link loss returns, before
+    the backward pass.
 
     ``forward`` is the ``encoder_forward`` result for the current encoder
     weights when the caller already has it; it is computed here otherwise.
@@ -469,7 +499,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
     for name, (onehot, mask) in batch.utility.items():
         l_c, dz_c, dwc = attr_loss(z_in, state.heads[name], onehot, mask)
         attr_values.append(l_c)
-        dz_in = dz_in + dz_c
+        dz_in += dz_c
         grads[f"head:{name}"] = dwc
     # reconstruction objective: link loss plus every utility head loss
     l_recon = float(l_link) + float(sum(attr_values))

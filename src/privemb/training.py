@@ -37,13 +37,16 @@ from .numkit import Adam, NumericError, Rng, derive_seed, spmm
 
 SAMPLED_MODE_THRESHOLD = 3000
 
-# bytes a sampled step may hold, checked before training. It counts 40 per
-# negative: the key and the loss's sorted key, int32 column, logit and
-# gradient are 36 (the sampler peaks at 32); 4 cover what does not grow. It
-# adds 16 per entry of the n x width decoder input: the float64 dz and the
-# sparse product beside it. The link audit checks its pair-feature table
-# against the same budget (evaluation.link_eval)
+# bytes a sampled step may hold, checked before training. The link audit
+# checks its pair-feature table against the same budget (evaluation.link_eval)
 LINK_MEMORY_BUDGET = 1 << 30
+# bytes per negative pair a sampled step holds: the sampler peaks at 8, its
+# int64 keys; the loss holds 20, the handed-over int32 column and the loss
+# term and gradient of each pair on the side it works on (the positives,
+# at most one per negative, hold 16 beside the negatives' columns); 4 cover
+# the blocks that do not grow. The check adds 16 per entry of the n x width
+# decoder input: the float64 dz and the sparse product beside it
+LINK_BYTES_PER_NEGATIVE = 24
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
 
@@ -159,7 +162,7 @@ def edge_split(g: Graph, cfg: TrainConfig) -> EdgeSplit:
 
 def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
     """Refuse a sampled step that would exceed LINK_MEMORY_BUDGET."""
-    need = 40 * negs_per_pos * nnz + 16 * n * width
+    need = LINK_BYTES_PER_NEGATIVE * negs_per_pos * nnz + 16 * n * width
     if need > LINK_MEMORY_BUDGET:
         raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for its negative "
                           f"pairs and gradient at n={n}, over the "

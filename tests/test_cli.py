@@ -680,14 +680,36 @@ def test_input_forms(tmp_path, capsys, form):
                                          ("eval-attr", "utility_fraction")])
 @pytest.mark.parametrize("value,code", [(0.05, 1), (0.9, 0), (0.95, 1)])
 def test_eval_fraction_bounds(tmp_path, capsys, command, key, value, code):
-    """A training fraction outside [0.1, 0.9] is one config error line."""
+    """A training fraction outside [0.1, 0.9] is one config error line that
+    names its key."""
     paths = _write_inputs(tmp_path / "in")
     config = write_config(tmp_path, synth=None, eval={"repeats": 1, key: value}, data={
         "edges": str(paths["edges"]), "attributes": str(paths["attributes"]), "schema": _SCHEMA})
     assert main([command, "--config", str(config), "--embeddings", str(paths["embeddings"])]) \
         == code
     err = capsys.readouterr().err
-    assert err == ("config error: fraction must lie in [0.1, 0.9]\n" if code else ""), err
+    assert err == (f"config error: 'eval.{key}' must lie in [0.1, 0.9]\n" if code else ""), err
+
+
+@pytest.mark.parametrize("axis,key,value,message", [
+    ("lambda", "sweep_repeats", 0, "must be at least 1"),
+    ("lambda", "sweep_repeats", -2, "must be at least 1"),
+    ("fraction", "sweep_repeats", 0, "must be at least 1"),
+    ("fraction", "repeats", 0, "must be at least 1"),
+    ("lambda", "fraction", 0.95, "must lie in [0.1, 0.9]"),
+    ("lambda", "utility_fraction", 0.05, "must lie in [0.1, 0.9]"),
+    ("fraction", "fractions", [0.5, 0.95], "must lie in [0.1, 0.9]"),
+])
+def test_sweep_refuses_eval_values_before_training(tmp_path, capsys, monkeypatch,
+                                                   axis, key, value, message):
+    """A bad eval value is one config error line naming its key, given
+    before any model trains."""
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    config = write_config(tmp_path, eval={key: value})
+    assert main(["sweep", "--config", str(config), "--axis", axis]) == 1
+    assert capsys.readouterr().err == f"config error: 'eval.{key}' {message}\n"
+    assert not trained and not (tmp_path / "out").exists()
 
 
 def test_data_section_roundtrip(tmp_path):

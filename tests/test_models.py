@@ -1,6 +1,7 @@
 """Loss oracles and wiring checks for the model variants."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,13 @@ def _dense_targets(keys, n):
 def _negative_keys(batch):
     """Every zero-target pair's key, in key order."""
     return np.setdiff1d(np.arange(batch.n * batch.n), batch.link_keys)
+
+
+def _pattern(keys, n):
+    """The CSR pattern (indptr, int32 columns) of the i*n+j ``keys`` in
+    key order, the form each side of the sampled loss takes."""
+    keys = np.sort(keys)
+    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
 
 
 # ---------------------------------------------------------------- wiring
@@ -220,8 +228,8 @@ class TestLinkLoss:
         np.add.at(want_dz, neg_rows, gn[:, None] * z[neg_cols])
         np.add.at(want_dz, neg_cols, gn[:, None] * z[neg_rows])
 
-        loss, dz = models.link_loss_sampled(z, pos_rows * n + pos_cols, neg_rows * n + neg_cols,
-                                            n_neg_total)
+        loss, dz = models.link_loss_sampled(z, _pattern(pos_rows * n + pos_cols, n),
+                                            _pattern(neg_rows * n + neg_cols, n), n_neg_total)
         assert_close(loss, want, tol=1e-12)
         assert_close(dz, want_dz, tol=1e-12)
 
@@ -230,26 +238,24 @@ class TestLinkLoss:
                             feat_dim=6)
         z = Rng(5).randn(12, 4)
         loss_e, dz_e = link_loss(z, batch)
-        loss_s, dz_s = link_loss(z, batch, _negative_keys(batch))
+        loss_s, dz_s = link_loss(z, batch, _pattern(_negative_keys(batch), 12))
         assert_close(loss_s, loss_e, tol=1e-10)
         assert np.allclose(dz_s, dz_e, atol=1e-10)
 
     @given(n=st.integers(2, 14), density=st.floats(0.0, 0.9), d=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
-    def test_every_negative_once_in_any_order_is_exact(self, n, density, d, seed):
-        # the sampled loss sorts each side by key, so the order of the pairs
-        # it is given must not matter
+    def test_every_negative_once_is_exact(self, n, density, d, seed):
+        # the positives are the batch's own pattern, the negatives every
+        # zero-target pair once
         rng = np.random.default_rng(seed)
         edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
         batch = _target_batch(n, edges)
         neg = _negative_keys(batch)
         if not neg.size:
             return
-        pos = rng.permutation(batch.link_keys)
-        neg = rng.permutation(neg)
         z = rng.standard_normal((n, d))
         loss_e, dz_e = link_loss(z, batch)
-        loss_s, dz_s = models.link_loss_sampled(z, pos, neg, len(neg))
+        loss_s, dz_s = link_loss(z, batch, _pattern(neg, n))
         assert abs(loss_s - loss_e) <= 1e-12 * abs(loss_e)
         assert np.allclose(dz_s, dz_e, rtol=1e-10, atol=1e-14)
 
@@ -259,8 +265,8 @@ class TestLinkLoss:
         # the block, so the loss and the gradient keep their bits
         rng = Rng(9)
         z = rng.randn(300, 65)
-        pos = rng.integers(0, 300 * 300, size=900)
-        neg = rng.integers(0, 300 * 300, size=5000)
+        pos = _pattern(rng.integers(0, 300 * 300, size=900), 300)
+        neg = _pattern(rng.integers(0, 300 * 300, size=5000), 300)
         want_loss, want_dz = models.link_loss_sampled(z, pos, neg, 80000)
         monkeypatch.setattr(models, "_PAIR_CHUNK", chunk)
         monkeypatch.setattr(models, "_PAIR_BLOCK", 1000)
@@ -281,20 +287,23 @@ class TestLinkLoss:
         want_loss, want_dz = _whole_side_link_loss_sampled(z, pos, neg, n_neg_total)
         with mock.patch.object(models, "_PAIR_CHUNK", chunk), \
                 mock.patch.object(models, "_PAIR_BLOCK", block):
-            loss, dz = models.link_loss_sampled(z, pos, neg, n_neg_total)
+            loss, dz = models.link_loss_sampled(z, _pattern(pos, n), _pattern(neg, n),
+                                                n_neg_total)
         assert loss == want_loss and np.array_equal(dz, want_dz)
 
-    def test_sampled_holds_under_32_bytes_per_pair(self):
-        # a side holds its sorted keys, int32 columns, logits and gradients
-        # (28 bytes per pair); the rest is made a block at a time or is n x
-        # width. The whole-side reference holds about 44 bytes per pair here
+    def test_sampled_holds_under_20_bytes_per_pair(self):
+        # the patterns are handed over; a side adds its loss terms and
+        # gradients (16 bytes per pair), and the rest is made a block at a
+        # time or is n x width. The whole-side reference holds about 44
+        # bytes per pair here
         rng = Rng(6)
         n = 4000
         pos = np.unique(rng.integers(0, n * n, size=60000))
         neg = rng.integers(0, n * n, size=5 * pos.size)
         z = rng.randn(n, 8) * 0.3
-        peak = traced_peak(models.link_loss_sampled, z, pos, neg, n * n - pos.size)
-        assert peak <= 32 * (pos.size + neg.size)
+        peak = traced_peak(models.link_loss_sampled, z, _pattern(pos, n), _pattern(neg, n),
+                           n * n - pos.size)
+        assert peak <= 20 * neg.size
 
 
 def _whole_side_link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
@@ -450,6 +459,14 @@ def test_link_keys_are_the_self_looped_training_adjacency(n, density, keep, seed
     assert np.array_equal(keys, np.flatnonzero(targets))
 
 
+def _assert_pattern(got, keys, n):
+    """``got`` is the int32-column CSR pattern of the i*n+j ``keys``."""
+    indptr, cols = got
+    want_indptr, want_cols = _pattern(keys, n)
+    assert cols.dtype == np.int32 and indptr.shape == (n + 1,)
+    assert np.array_equal(indptr, want_indptr) and np.array_equal(cols, want_cols)
+
+
 class TestNegativeSampling:
     # "clustered" hashes every key to one of three slots, so nearly every
     # candidate hits the filter and takes the exact lookup
@@ -467,11 +484,13 @@ class TestNegativeSampling:
         with mock.patch.object(models, "_key_slots", self.HASHES[hash_name]):
             batch = _target_batch(n, pairs)
             rng_a, rng_b, rng_c = Rng(seed), Rng(seed), Rng(seed)
-            keys = models.sample_negative_pairs(batch, count, rng_a)
+            got = models.sample_negative_pairs(batch, count, rng_a)
             joined = _joined_blocks_negatives(batch, count, rng_c)
-        assert keys.dtype == np.int64 and np.array_equal(keys, joined)
-        assert np.array_equal(keys, _searchsorted_negatives(batch, count, rng_b))
-        assert keys.size == count
+        _assert_pattern(got, joined, n)
+        _assert_pattern(got, _searchsorted_negatives(batch, count, rng_b), n)
+        indptr, cols = got
+        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + cols
+        assert cols.size == count and indptr[-1] == count
         assert not np.isin(keys, batch.link_keys).any()
         # the same number of draws: the streams continue alike
         state = rng_a._gen.bit_generator.state
@@ -481,8 +500,7 @@ class TestNegativeSampling:
         batch = _target_batch(5, [(0, 1), (1, 2)])
         rng = Rng(3)
         state = rng._gen.bit_generator.state
-        keys = models.sample_negative_pairs(batch, 0, rng)
-        assert keys.dtype == np.int64 and keys.shape == (0,)
+        _assert_pattern(models.sample_negative_pairs(batch, 0, rng), np.zeros(0, np.int64), 5)
         assert rng._gen.bit_generator.state == state
 
     def test_dense_graph_rejects_most_candidates(self):
@@ -491,9 +509,45 @@ class TestNegativeSampling:
         n = 50
         pairs = np.argwhere(np.triu(np.ones((n, n)), k=1))[25:]
         batch = _target_batch(n, pairs)
-        keys = models.sample_negative_pairs(batch, 3000, Rng(2))
-        assert np.array_equal(keys, _searchsorted_negatives(batch, 3000, Rng(2)))
+        keys = _searchsorted_negatives(batch, 3000, Rng(2))
+        _assert_pattern(models.sample_negative_pairs(batch, 3000, Rng(2)), keys, n)
         assert not np.isin(keys, batch.link_keys).any()
+
+    @pytest.mark.parametrize("block", [1, 7, 256, None])
+    def test_stream_does_not_depend_on_the_draw_block(self, monkeypatch, block):
+        # PCG64 draws the same values in blocks as in one call, so the
+        # pattern and the stream after it are those of whole-round draws;
+        # a 30 % dense graph takes a few rounds of rejection. None draws
+        # each round whole
+        n, count = 40, 1000
+        pairs = np.argwhere(np.triu(Rng(4).random((n, n)) < 0.3, k=1))
+        batch = _target_batch(n, pairs)
+        want_rng, rng = Rng(7), Rng(7)
+        with monkeypatch.context() as m:
+            m.setattr(models, "_PAIR_BLOCK", 10**9)
+            want = models.sample_negative_pairs(batch, count, want_rng)
+        monkeypatch.setattr(models, "_PAIR_BLOCK", block or count)
+        got = models.sample_negative_pairs(batch, count, rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert rng._gen.bit_generator.state == want_rng._gen.bit_generator.state
+
+    def test_runs_under_a_trace_function(self):
+        # a Python trace function (a debugger, a pure-Python coverage
+        # tracer) holds references to the frame's locals, which the shrink
+        # of the sampler's buffer must not count
+        batch = _target_batch(20, [(i, i + 1) for i in range(19)])
+        want = models.sample_negative_pairs(batch, 500, Rng(5))
+
+        def trace(frame, event, arg):
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = models.sample_negative_pairs(batch, 500, Rng(5))
+        finally:
+            sys.settrace(previous)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_filter_marks_every_positive(self):
         batch = _target_batch(30, [(i, (i * 7 + 3) % 30) for i in range(30)])

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import assert_close, traced_peak
 from hypothesis import given, strategies as st
 
@@ -155,40 +156,42 @@ class TestTrain:
 
     def test_sampled_steps_read_the_negatives_stream(self, small_synth, monkeypatch):
         # iteration t trains on the t-th draw of negatives_per_positive x
-        # |link_keys| keys from the run's "negatives" stream
+        # |link_keys| pairs from the run's "negatives" stream, against the
+        # positives' pattern, L's, from which link_keys are derived
         g, schema = small_synth
         cfg = quick_cfg("GAE", link_mode="sampled", negs_per_pos=3, iterations=3, seed=5)
         seen = []
         real = models.link_loss_sampled
 
-        def spy(z_in, pos_keys, neg_keys, n_neg_total):
-            seen.append((pos_keys, neg_keys.copy(), n_neg_total))
-            return real(z_in, pos_keys, neg_keys, n_neg_total)
+        def spy(z_in, positives, negatives, n_neg_total):
+            seen.append((positives, tuple(a.copy() for a in negatives), n_neg_total))
+            return real(z_in, positives, negatives, n_neg_total)
 
         monkeypatch.setattr(models, "link_loss_sampled", spy)
         train(g, schema, cfg)
         batch = prepare_batch(g, schema, "GAE", edge_split(g, cfg).train_edges)
         rng = Rng(derive_seed(5, "negatives"))
         assert len(seen) == 3
-        for pos_keys, neg_keys, n_neg_total in seen:
+        for (indptr, cols), negatives, n_neg_total in seen:
             want = models.sample_negative_pairs(batch, 3 * batch.link_keys.size, rng)
-            assert np.array_equal(neg_keys, want)
-            assert np.array_equal(pos_keys, batch.link_keys)
+            assert all(np.array_equal(a, b) for a, b in zip(negatives, want))
+            keys = np.repeat(np.arange(g.n), np.diff(indptr)) * g.n + cols
+            assert np.array_equal(keys, batch.link_keys)
             assert n_neg_total == g.n * g.n - batch.link_keys.size
 
     def test_negatives_are_freed_before_the_backward_pass(self, small_synth, monkeypatch):
-        # a step's negative keys (4.5 MB at n=6000) must not live through
+        # a step's negative pattern (2.4 MB at n=6000) must not live through
         # encoder_backward, which holds the step's largest arrays
         g, schema = small_synth
         refs = []
         real_loss, real_backward = models.link_loss_sampled, models.encoder_backward
 
-        def spy_loss(z_in, pos_keys, neg_keys, n_neg_total):
-            refs.append(weakref.ref(neg_keys))
-            return real_loss(z_in, pos_keys, neg_keys, n_neg_total)
+        def spy_loss(z_in, positives, negatives, n_neg_total):
+            refs.append([weakref.ref(a) for a in negatives])
+            return real_loss(z_in, positives, negatives, n_neg_total)
 
         def spy_backward(*args):
-            assert refs[-1]() is None, "the negative keys outlive the link loss"
+            assert all(ref() is None for ref in refs[-1]), "the negatives outlive the link loss"
             return real_backward(*args)
 
         monkeypatch.setattr(models, "link_loss_sampled", spy_loss)
@@ -209,13 +212,15 @@ class TestTrain:
         assert np.all(np.isfinite(res.Z))
 
     @staticmethod
-    def _refuses_under_a_step_peak(monkeypatch, n, width, draws, negs_per_pos):
-        # one sampled step, the sampler then the loss: the check must count
-        # at least its traced peak. The positives' filter belongs to the
-        # batch, made once per run, so it is made before the trace
+    def _step_peak(n, width, draws, negs_per_pos):
+        """(traced peak, positives) of one sampled step, the sampler then
+        the loss. L and the positives' filter belong to the batch, made
+        once per run, so they are made before the trace."""
         rng = Rng(8)
         keys = np.unique(rng.integers(0, n * n, size=draws))
-        batch = models.Batch(laplacian=None, lx=np.zeros((n, 1)), link_keys=keys,
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        lap = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+        batch = models.Batch(laplacian=lap, lx=np.zeros((n, 1)), link_keys=keys,
                              utility={}, privacy_onehot=np.zeros((n, 2)),
                              privacy_mask=np.arange(0))
         batch.positive_filter()
@@ -223,18 +228,32 @@ class TestTrain:
 
         def step():
             neg = models.sample_negative_pairs(batch, negs_per_pos * keys.size, Rng(1))
-            models.link_loss_sampled(z, keys, neg, n * n - keys.size)
+            models.link_loss(z, batch, neg)
 
-        peak = traced_peak(step)
+        return traced_peak(step), keys.size
+
+    def _refuses_under_a_step_peak(self, monkeypatch, n, width, draws, negs_per_pos):
+        # the check must count at least a step's traced peak
+        peak, nnz = self._step_peak(n, width, draws, negs_per_pos)
         monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", peak - 1)
         with pytest.raises(ConfigError, match="lower negatives_per_positive"):
-            training._check_link_memory(n, width, keys.size, negs_per_pos)
+            training._check_link_memory(n, width, nnz, negs_per_pos)
 
     @pytest.mark.parametrize("negs_per_pos", [1, 5])
     def test_link_memory_check_counts_what_a_step_holds(self, monkeypatch, negs_per_pos):
         # 400k positive keys of a 3000-node graph at width 4, where the
         # pair arrays outweigh the n x width ones
         self._refuses_under_a_step_peak(monkeypatch, 3000, 4, 420000, negs_per_pos)
+
+    def test_link_memory_check_is_a_measured_bound(self):
+        # 400k positives of a 3000-node graph at width 4 and 5 negatives
+        # each, so the pairs dominate: a step peaks between the loss's 20
+        # bytes per negative and what the check counts
+        n, width = 3000, 4
+        peak, nnz = self._step_peak(n, width, 420000, 5)
+        negatives = 5 * nnz
+        assert 20 * negatives <= peak
+        assert peak <= training.LINK_BYTES_PER_NEGATIVE * negatives + 16 * n * width
 
     def test_link_memory_check_counts_the_n_by_width_arrays(self, monkeypatch):
         # 118k positive keys of a 6000-node graph at width 64 and one
