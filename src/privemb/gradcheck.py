@@ -98,15 +98,15 @@ def _loss_cases(seed):
     cases = []
 
     z0 = rng.randn(n, 4)
-    pw = batch.pos_weight
+    lap, lx = batch.laplacian, batch.lx
     def link_exact_fn(p):
-        loss, dz = link_loss_exact(p["z"], batch.link_keys, pw)
+        loss, dz = link_loss_exact(p["z"], (lap.indptr, lap.indices), batch.pos_weight)
         return loss, {"z": dz}
 
     cases.append(("loss/link_exact", link_exact_fn, {"z": z0.copy()}))
 
     neg_rng = Rng(derive_seed(seed, "negs"))
-    negatives = sample_negative_pairs(batch, 3 * batch.link_keys.size, neg_rng)
+    negatives = sample_negative_pairs(batch, 3 * lap.nnz, neg_rng)
 
     def link_sampled_fn(p):
         loss, dz = link_loss(p["z"], batch, negatives)
@@ -146,7 +146,6 @@ def _loss_cases(seed):
     cases.append(("loss/discriminator", disc_fn,
                   {k: v.copy() for k, v in dstate.items()}))
 
-    lap, lx = batch.laplacian, batch.lx
     enc = {"W0": state.W0.copy(), "W1": state.W1.copy()}
 
     def disc_chain_fn(p):

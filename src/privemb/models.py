@@ -17,7 +17,7 @@ private attribute from the features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -133,22 +133,16 @@ def init_state(cfg, batch: Batch) -> ModelState:
 @dataclass
 class Batch:
     """Per-run tensors shared by every loss: normalized adjacency L, the
-    encoder's first propagation ``lx`` = L @ X (no weight enters it),
-    reconstruction targets, and label blocks.
-
-    The targets are 0/1, so ``link_keys`` holds them as the sorted int64
-    keys i*n+j of their nonzeros: the training edges in both directions
-    plus the self-loops, 8 bytes per positive pair. The exact link loss and
-    the negative sampler read them; the sampled link loss reads the same
-    pairs as L's own CSR pattern, from which they are derived."""
+    encoder's first propagation ``lx`` = L @ X (no weight enters it), and
+    label blocks. The 0/1 reconstruction targets are one at L's nonzeros,
+    the training edges both ways plus the self-loops; both link losses and
+    the negative sampler read them as L's CSR pattern."""
 
     laplacian: sp.csr_matrix
     lx: np.ndarray
-    link_keys: np.ndarray
     utility: dict
     privacy_onehot: np.ndarray
     privacy_mask: np.ndarray
-    _pos_filter: tuple = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -156,22 +150,19 @@ class Batch:
 
     @property
     def pos_weight(self) -> float:
-        nnz = self.link_keys.size
+        nnz = self.laplacian.nnz
         return (self.n * self.n - nnz) / nnz
 
-    def positive_filter(self):
-        """(table, bits): a bool table of 2**bits slots, set at the slot of
-        every positive key, so a key whose slot is clear is not a positive.
-        At least 8 slots per key keep under 1/8 of the slots set, and so of
-        the other keys hitting one; a slot is one byte, so the table takes
-        at most 16 bytes per key."""
-        if self._pos_filter is None:
-            keys = self.link_keys
-            bits = max(10, (8 * keys.size - 1).bit_length())
-            table = np.zeros(1 << bits, dtype=bool)
-            table[_key_slots(keys, bits)] = True
-            self._pos_filter = (table, bits)
-        return self._pos_filter
+
+def _positive_filter(keys):
+    """(table, bits): a bool table of 2**bits slots, set at the slot of each
+    int64 key, so a key whose slot is clear is not among ``keys``. At least
+    8 slots per key keep under 1/8 of the slots set, and so of the other
+    keys hitting one; the table takes at most 16 bytes per key."""
+    bits = max(10, (8 * keys.size - 1).bit_length())
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_key_slots(keys, bits)] = True
+    return table, bits
 
 
 def _key_slots(keys, bits: int) -> np.ndarray:
@@ -202,33 +193,42 @@ def encoder_backward(dz, hidden, lap, lx, w1):
     return dw0, dw1
 
 
+def _pattern_rows(indptr, start: int, stop: int) -> np.ndarray:
+    """The row of each entry start..stop-1 of a CSR pattern."""
+    first = int(np.searchsorted(indptr, start, side="right")) - 1
+    last = int(np.searchsorted(indptr, stop))
+    counts = np.diff(np.clip(indptr[first:last + 1], start, stop))
+    return np.repeat(np.arange(first, last), counts)
+
+
 # rows per block of the upper triangle in the exact link loss
 _TRI_ROWS = 64
 
 
-def link_loss_exact(z_in, keys, pos_weight):
+def link_loss_exact(z_in, positives, pos_weight):
     """Weighted BCE of every inner-product logit against 0/1 targets.
 
-    ``keys`` are the sorted i*n+j keys of the targets' nonzeros
-    (``Batch.link_keys``). Equals ``bce_with_logits(z_in @ z_in.T, targets,
-    pos_weight)`` with dz = (g + g.T) @ z_in, but never builds dense
-    targets or logits: with softplus(-x) = softplus(x) - x the loss is one
-    dense softplus plus a correction on the nonzeros, and the logit
-    gradient is the symmetric sigmoid(X) / n^2 plus a sparse matrix C on
-    those nonzeros. The logits are streamed a block of _TRI_ROWS rows of
-    the upper triangle at a time, so the call holds three blocks of
-    _TRI_ROWS x n besides O(nnz) index arrays.
+    ``positives`` is the CSR pattern (indptr, columns) of the nonzeros,
+    symmetric with sorted columns: L's, which ``normalize_adjacency`` builds
+    so. Equals ``bce_with_logits(z_in @ z_in.T, targets, pos_weight)`` with
+    dz = (g + g.T) @ z_in, but never builds dense targets or logits: with
+    softplus(-x) = softplus(x) - x the loss is one dense softplus plus a
+    correction on the nonzeros, and the logit gradient is the symmetric
+    sigmoid(X) / n^2 plus a sparse matrix C on those nonzeros. The logits
+    are streamed a block of _TRI_ROWS rows of the upper triangle at a time,
+    so the call holds three blocks of _TRI_ROWS x n besides O(nnz) arrays.
     """
     import scipy.sparse as sp
 
+    indptr, cols = positives
     n = z_in.shape[0]
     size = float(n * n)
-    rows, cols = np.divmod(keys, n)
+    rows = _pattern_rows(indptr, 0, cols.size)
     # pair (r, c) is read from the block of lo = min(r, c), at (lo - s, hi - s)
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(lo)
     bounds = np.searchsorted(lo[order], np.arange(0, n + _TRI_ROWS, _TRI_ROWS))
-    x_pos = np.empty(keys.size)
+    x_pos = np.empty(cols.size)
     # each block adds its softplus, the square diagonal part once and the
     # rectangle right of it twice, then turns into sigmoid(x) =
     # exp(x - softplus(x)) in place and adds its share of sigmoid @ z_in
@@ -252,11 +252,12 @@ def link_loss_exact(z_in, keys, pos_weight):
     # the kernels on x_pos
     sp_pos = softplus(x_pos)
     total += float(((pos_weight - 1.0) * sp_pos - pos_weight * x_pos).sum())
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    c = sp.csr_matrix((((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size,
+    # (r, c) and (c, r) read one logit, so C is symmetric and C + C.T is C
+    # with each value doubled, on the same pattern: one product, the bits of two
+    c = sp.csr_matrix((2.0 * (((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size),
                        cols, indptr), shape=(n, n))
     dz *= 2.0 / size
-    dz += (c + c.T) @ z_in
+    dz += c @ z_in
     return total / size, dz
 
 
@@ -266,14 +267,6 @@ _PAIR_CHUNK = 512
 # pairs per block of the sampler's draws and of the sampled loss's rows,
 # sigmoid and softplus: under 1 MB of temporaries
 _PAIR_BLOCK = 16384
-
-
-def _pattern_rows(indptr, start: int, stop: int) -> np.ndarray:
-    """The row of each entry start..stop-1 of a CSR pattern."""
-    first = int(np.searchsorted(indptr, start, side="right")) - 1
-    last = int(np.searchsorted(indptr, stop))
-    counts = np.diff(np.clip(indptr[first:last + 1], start, stop))
-    return np.repeat(np.arange(first, last), counts)
 
 
 def link_loss_sampled(z_in, positives, negatives, n_neg_total):
@@ -328,13 +321,15 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
     blocks of _PAIR_BLOCK rows; a draw split into blocks reads the same
     stream as one whole draw. A candidate whose filter slot is clear is
     accepted at once; only the filter's hits are looked up among the
-    sorted ``batch.link_keys``. The accepted keys i*n+j fill one int64
-    array, 8 bytes per pair, which is sorted in place and then holds the
-    int32 columns in its first half; the second half is given back.
+    positives' sorted keys, made with the filter from L in each call. The
+    accepted keys i*n+j fill one int64 array, 8 bytes per pair, sorted in
+    place, whose first half then holds the int32 columns; the second half
+    is given back.
     """
     n = batch.n
-    pos_keys = batch.link_keys
-    table, bits = batch.positive_filter()
+    lap = batch.laplacian
+    pos_keys = _pattern_rows(lap.indptr, 0, lap.nnz) * n + lap.indices
+    table, bits = _positive_filter(pos_keys)
     to_key = np.array([n, 1], dtype=np.int64)
     cols = np.empty(2 * count, dtype=np.int32)
     keys = cols.view(np.int64)
@@ -370,11 +365,11 @@ def sample_negative_pairs(batch: Batch, count: int, rng: Rng):
 def link_loss(z_in, batch: Batch, negatives=None):
     """The exact loss over every pair, or the sampled one over all the
     positives and the ``negatives`` pattern of ``sample_negative_pairs``."""
-    if negatives is None:
-        return link_loss_exact(z_in, batch.link_keys, batch.pos_weight)
     lap = batch.laplacian
-    return link_loss_sampled(z_in, (lap.indptr, lap.indices), negatives,
-                             batch.n * batch.n - batch.link_keys.size)
+    positives = (lap.indptr, lap.indices)
+    if negatives is None:
+        return link_loss_exact(z_in, positives, batch.pos_weight)
+    return link_loss_sampled(z_in, positives, negatives, batch.n * batch.n - lap.nnz)
 
 
 def attr_loss(z_in, wc, onehot, mask):

@@ -44,8 +44,10 @@ LINK_MEMORY_BUDGET = 1 << 30
 # int64 keys; the loss holds 20, the handed-over int32 column and the loss
 # term and gradient of each pair on the side it works on (the positives,
 # at most one per negative, hold 16 beside the negatives' columns); 4 cover
-# the blocks that do not grow. The check adds 16 per entry of the n x width
-# decoder input: the float64 dz and the sparse product beside it
+# the blocks that do not grow. The sampler also holds up to 24 per positive,
+# the keys and filter it makes from L, so the check counts one more pair per
+# positive; and it adds 16 per entry of the n x width decoder input: the
+# float64 dz and the sparse product beside it
 LINK_BYTES_PER_NEGATIVE = 24
 
 TRACE_COLUMNS = ("iter", "l_link", "l_attr", "l_att", "l_dc", "l_obf")
@@ -140,14 +142,11 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     feature (GAE_RM) leaves it out of the feature matrix."""
     exclude = (schema.private_attribute,) if VARIANT_SPECS[variant].drops_private_feature else ()
     laplacian = normalize_adjacency(g, train_edges)
-    # the targets are the self-looped training adjacency: L's sparsity pattern
-    link_keys = np.repeat(np.arange(g.n), np.diff(laplacian.indptr)) * g.n + laplacian.indices
     utility = {name: onehot_labels(g, schema, name) for name in schema.utility_attributes}
     privacy_onehot, privacy_mask = onehot_labels(g, schema, schema.private_attribute)
     return Batch(
         laplacian=laplacian,
         lx=spmm(laplacian, build_features(g, schema, exclude)),
-        link_keys=link_keys,
         utility=utility,
         privacy_onehot=privacy_onehot,
         privacy_mask=privacy_mask,
@@ -161,13 +160,19 @@ def edge_split(g: Graph, cfg: TrainConfig) -> EdgeSplit:
 
 
 def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
-    """Refuse a sampled step that would exceed LINK_MEMORY_BUDGET."""
-    need = LINK_BYTES_PER_NEGATIVE * negs_per_pos * nnz + 16 * n * width
+    """Refuse a sampled step that would exceed LINK_MEMORY_BUDGET, naming
+    the key to lower: the release width where the n x width arrays alone
+    exceed it, the count of negatives otherwise."""
+    dense = 16 * n * width
+    need = LINK_BYTES_PER_NEGATIVE * (negs_per_pos + 1) * nnz + dense
+    budget = f"over the {LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget"
+    if dense > LINK_MEMORY_BUDGET:
+        raise ConfigError(f"the sampled link loss needs {dense / 2**20:.0f} MiB for its n x {width} "
+                          f"gradient alone at n={n}, {budget}; lower model.d "
+                          "(model.d_prime for APGE_NOEXP)")
     if need > LINK_MEMORY_BUDGET:
         raise ConfigError(f"the sampled link loss needs {need / 2**20:.0f} MiB for its negative "
-                          f"pairs and gradient at n={n}, over the "
-                          f"{LINK_MEMORY_BUDGET / 2**20:.0f} MiB budget; "
-                          "lower negatives_per_positive")
+                          f"pairs and gradient at n={n}, {budget}; lower negatives_per_positive")
 
 
 def _require_finite(value, component: str, iteration: int):
@@ -210,9 +215,9 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     if cfg.link_mode == "sampled" or (cfg.link_mode == "auto" and g.n > SAMPLED_MODE_THRESHOLD):
         # the decoder input's width: every utility head reads it
         width = next(iter(state.heads.values())).shape[0]
-        _check_link_memory(g.n, width, batch.link_keys.size, cfg.negs_per_pos)
-        draw_negatives = partial(sample_negative_pairs, batch,
-                                 cfg.negs_per_pos * batch.link_keys.size,
+        nnz = batch.laplacian.nnz
+        _check_link_memory(g.n, width, nnz, cfg.negs_per_pos)
+        draw_negatives = partial(sample_negative_pairs, batch, cfg.negs_per_pos * nnz,
                                  Rng(derive_seed(cfg.seed, "negatives")))
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 

@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import time
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from privemb.datagen import SynthParams, synth_graph
 from privemb.evaluation import ClassifierSpec, audit
 from privemb.gradcheck import run_suite
 from privemb.models import disc_loss, obf_loss
-from privemb.numkit import Rng, bce_with_logits, softmax_cross_entropy
+from privemb.numkit import Rng, bce_with_logits, pin_blas_threads, softmax_cross_entropy
 from privemb.training import TrainConfig, train
 
 pytestmark = pytest.mark.acceptance
@@ -31,6 +32,12 @@ pytestmark = pytest.mark.acceptance
 SEEDS = (0, 1, 2, 3, 4)
 EVAL_REPEATS = 5
 SPEC = ClassifierSpec()  # the 1-hidden-layer MLP is the canonical auditor
+# processes that train and audit the runs, one BLAS thread each, so that the
+# gate uses both cores of a 2-core machine; a run's bits do not depend on
+# the process that makes it. A multiprocessing pool, not concurrent.futures:
+# leaving its block on the time limit's exception terminates the workers,
+# where a ProcessPoolExecutor would wait for a worker that never ends
+WORKERS = 2
 
 _DATA = None
 _CACHE = {}
@@ -50,11 +57,14 @@ def dataset():
     return _DATA
 
 
-def run_metrics(variant, seed, **kw):
+def _key(variant, seed, kw):
+    return variant, seed, tuple(sorted(kw.items()))
+
+
+def _metrics(key):
     """Train one run on generator defaults and audit it with the MLP."""
-    key = (variant, seed, tuple(sorted(kw.items())))
-    if key in _CACHE:
-        return _CACHE[key]
+    variant, seed, kw = key
+    kw = dict(kw)
     g, schema = dataset()
     res = train(g, schema, TrainConfig(variant=variant, seed=seed, **kw))
 
@@ -73,8 +83,23 @@ def run_metrics(variant, seed, **kw):
         m["code_mean_max"] = float(np.abs(res.z_code.mean(axis=0)).max())
         m["code_std_min"] = float(res.z_code.std(axis=0).min())
         m["code_std_max"] = float(res.z_code.std(axis=0).max())
-    _CACHE[key] = m
     return m
+
+
+def fill(*runs):
+    """Put the metrics of each (variant, kw) run at every seed into _CACHE;
+    the missing ones are made by a pool of WORKERS processes."""
+    todo = [k for k in dict.fromkeys(_key(v, s, kw) for v, kw in runs for s in SEEDS)
+            if k not in _CACHE]
+    if todo:
+        dataset()  # made once, before a forked worker inherits it
+        with Pool(WORKERS, initializer=pin_blas_threads) as pool:
+            _CACHE.update(zip(todo, pool.map(_metrics, todo, chunksize=1)))
+
+
+def run_metrics(variant, seed, **kw):
+    """The metrics of one run, which ``fill`` has made."""
+    return _CACHE[_key(variant, seed, kw)]
 
 
 def seed_mean(variant, metric, **kw):
@@ -131,6 +156,7 @@ def test_analytic_loss_values():
 def test_leakage_ordering_across_variants():
     start = time.perf_counter()
     apge = dict(lam=1.0, d_prime=16)
+    fill(("GAE", {}), ("GAE_RM", {}), ("APGE", apge))
     att = {v: seed_mean(v, "att_f1", **(apge if v == "APGE" else {}))
            for v in ("GAE", "GAE_RM", "APGE")}
     link = {v: seed_mean(v, "link_acc", **(apge if v == "APGE" else {}))
@@ -155,6 +181,7 @@ def test_leakage_ordering_across_variants():
 
 def test_attack_resistance_vs_lambda():
     lams = (0.0, 1.0, 10.0, 100.0)
+    fill(*(("APGE", dict(lam=lam, d_prime=16)) for lam in lams))
     means = [seed_mean("APGE", "att_f1", lam=lam, d_prime=16) for lam in lams]
     ok = trend_ok(means, decreasing=True)
     report("lambda-trend", ok,
@@ -164,6 +191,7 @@ def test_attack_resistance_vs_lambda():
 
 def test_code_width_trends():
     widths = (2, 4, 8, 16)
+    fill(*(("APGE", dict(lam=1.0, d_prime=w)) for w in widths))
     util = [seed_mean("APGE", "util_f1", lam=1.0, d_prime=w) for w in widths]
     att = [seed_mean("APGE", "att_f1", lam=1.0, d_prime=w) for w in widths]
     ok = trend_ok(util, decreasing=False) and trend_ok(att, decreasing=False)
@@ -175,6 +203,7 @@ def test_code_width_trends():
 
 def test_code_prior_moments():
     worst = {"mean": 0.0, "std_lo": 1.0, "std_hi": 1.0}
+    fill(("APDGE", dict(d_prime=16)), ("APGE", dict(lam=1.0, d_prime=16)))
     for variant in ("APDGE", "APGE"):
         kw = dict(d_prime=16) if variant == "APDGE" else dict(lam=1.0, d_prime=16)
         for seed in SEEDS:
@@ -191,6 +220,7 @@ def test_code_prior_moments():
 
 
 def test_expansion_ablation():
+    fill(("APGE", dict(lam=1.0, d_prime=16)), ("APGE_NOEXP", dict(lam=1.0, d_prime=16)))
     full_link = seed_mean("APGE", "link_acc", lam=1.0, d_prime=16)
     full_att = seed_mean("APGE", "att_f1", lam=1.0, d_prime=16)
     flat_link = seed_mean("APGE_NOEXP", "link_acc", lam=1.0, d_prime=16)

@@ -254,6 +254,28 @@ def test_laplacian_is_bitwise_symmetric(n, density, seed):
         assert np.array_equal(lap, lap.T)
 
 
+@given(n=st.integers(2, 40), isolated=st.integers(0, 5), m=st.integers(0, 80),
+       seed=st.integers(0, 2**32 - 1))
+def test_laplacian_pattern_equals_its_transpose(n, isolated, m, seed):
+    # the exact link loss reads its targets off L's pattern and makes one
+    # product for C + C.T, which holds only if the pattern is symmetric with
+    # sorted columns (models.link_loss_exact). Pairs in either direction,
+    # some reversed again and some repeated, and nodes without an edge
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    pairs = np.stack([u, (u + rng.integers(1, n, size=m)) % n], axis=1)
+    edges = np.concatenate([pairs, pairs[rng.random(m) < 0.3, ::-1], pairs[rng.random(m) < 0.3]])
+    total = n + isolated
+    lap = normalize_adjacency(Graph(n=total, edges=np.zeros((0, 2)), attributes={}), edges)
+    keys = np.repeat(np.arange(total), np.diff(lap.indptr)) * total + lap.indices
+    assert np.all(np.diff(keys) > 0)
+    flipped = lap.T.tocsr()
+    flipped.sort_indices()
+    assert np.array_equal(lap.indptr, flipped.indptr)
+    assert np.array_equal(lap.indices, flipped.indices)
+    assert np.array_equal(np.diff(lap.indptr)[n:], np.ones(isolated, dtype=np.int64))
+
+
 def test_laplacian_of_edge_subset(small_synth):
     g, _ = small_synth
     subset = g.edges[::3]

@@ -11,7 +11,7 @@ from conftest import assert_close, traced_peak
 from hypothesis import given, strategies as st
 
 from privemb import models
-from privemb.datagen import synth_graph
+from privemb.datagen import SynthParams, synth_graph
 from privemb.graphcore import AttributeSchema, Graph, adjacency_with_self_loops, normalize_adjacency
 from privemb.models import (
     Batch,
@@ -65,9 +65,19 @@ def _tiny_batch(n=4, edges=((0, 1), (1, 2), (2, 3)), feat_dim=5, m_private=2,
     util = np.zeros((n, m_util))
     util[np.arange(n), np.arange(n) % m_util] = 1.0
     mask = np.arange(n)
-    return Batch(laplacian=lap, lx=spmm(lap, feats), link_keys=np.flatnonzero(a),
-                 utility={"dept": (util, mask)}, privacy_onehot=priv,
-                 privacy_mask=mask)
+    return Batch(laplacian=lap, lx=spmm(lap, feats), utility={"dept": (util, mask)},
+                 privacy_onehot=priv, privacy_mask=mask)
+
+
+def _targets(batch):
+    """The batch's link targets as the losses read them: L's CSR pattern."""
+    return batch.laplacian.indptr, batch.laplacian.indices
+
+
+def _positive_keys(batch):
+    """The i*n+j keys of the batch's positive targets, L's nonzeros, in key
+    order."""
+    return np.flatnonzero(batch.laplacian.toarray())
 
 
 def _dense_targets(keys, n):
@@ -79,7 +89,7 @@ def _dense_targets(keys, n):
 
 def _negative_keys(batch):
     """Every zero-target pair's key, in key order."""
-    return np.setdiff1d(np.arange(batch.n * batch.n), batch.link_keys)
+    return np.setdiff1d(np.arange(batch.n * batch.n), _positive_keys(batch))
 
 
 def _pattern(keys, n):
@@ -133,19 +143,18 @@ class TestLinkLoss:
         # ln2 * (pos_weight*npos + nneg) / n^2 = 2*ln2*nneg/n^2
         batch = _tiny_batch()
         n = batch.n
-        nnz = batch.link_keys.size
+        nnz = _positive_keys(batch).size
         expected = 2.0 * LN2 * (n * n - nnz) / (n * n)
-        loss, dz = link_loss_exact(np.zeros((n, 3)), batch.link_keys,
-                                   batch.pos_weight)
+        loss, dz = link_loss_exact(np.zeros((n, 3)), _targets(batch), batch.pos_weight)
         assert_close(loss, expected, tol=1e-12)
         assert np.all(dz == 0.0)  # symmetric gradient at the origin
 
     def test_saturated_reconstruction(self):
         # two isolated nodes: targets are just the self-loops, and
         # z1 = -z2 saturates every pair the right way
-        keys = np.flatnonzero(np.eye(2))
+        targets = _pattern(np.flatnonzero(np.eye(2)), 2)
         z = np.array([[10.0], [-10.0]])
-        loss, _ = link_loss_exact(z, keys, pos_weight=1.0)
+        loss, _ = link_loss_exact(z, targets, pos_weight=1.0)
         assert loss < 1e-20
 
     @pytest.mark.parametrize("pos_weight", [0.4, 3.7])
@@ -153,28 +162,28 @@ class TestLinkLoss:
         batch = _tiny_batch(n=12, edges=tuple((i, (i + 3) % 12) for i in range(12)),
                             feat_dim=6)
         z = Rng(8).randn(12, 4)
-        dense = _dense_targets(batch.link_keys, batch.n)
+        dense = _dense_targets(_positive_keys(batch), batch.n)
         want, g = bce_with_logits(z @ z.T, dense, pos_weight)
         want_dz = (g + g.T) @ z
-        loss, dz = link_loss_exact(z, batch.link_keys, pos_weight)
+        loss, dz = link_loss_exact(z, _targets(batch), pos_weight)
         assert_close(loss, want, tol=1e-12)
         assert_close(dz, want_dz, tol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(500, 66), (129, 5), (1, 3)])
     def test_exact_matches_full_array_reference(self, n, d):
-        # the loss over the full array, before the upper-triangle blocks; the
-        # targets are not symmetric. The loss, summed by blocks, is within
-        # 1e-15 of the full-array sums with numkit's and with np.logaddexp's
-        # softplus; the gradient, summed by blocks, is within a few eps of
-        # the full-array product on the scale of its terms, so a block or a
-        # transposed block left out misses by far more
+        # the loss over the full array, before the upper-triangle blocks, on
+        # symmetric targets as L's pattern holds them. The loss, summed by
+        # blocks, is within 1e-15 of the full-array sums with numkit's and
+        # with np.logaddexp's softplus; the gradient, summed by blocks, is
+        # within a few eps of the full-array product on the scale of its
+        # terms, so a block or a transposed block left out misses by far more
         rng = Rng(n + d)
         z = rng.randn(n, d) * 0.5
         targets = rng.random((n, n)) < 0.02
+        targets |= targets.T
         np.fill_diagonal(targets, True)
-        keys = np.flatnonzero(targets)
         pos_weight = 6.5
-        loss, dz = link_loss_exact(z, keys, pos_weight)
+        loss, dz = link_loss_exact(z, _pattern(np.flatnonzero(targets), n), pos_weight)
         for kernel in (softplus, lambda x: np.logaddexp(0.0, x)):
             logits = z @ z.T
             size = float(logits.size)
@@ -192,6 +201,19 @@ class TestLinkLoss:
                 scale = abs(sig) @ abs(z) * (2.0 / size) + abs(c + c.T) @ abs(z)
                 assert np.all(abs(dz - want_dz) <= 16 * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize("n,d,scale", [(23, 5, 1.0), (500, 66, 0.3), (500, 66, 3.0)])
+    def test_exact_one_product_has_the_bits_of_two(self, n, d, scale):
+        # on L's symmetric pattern, C with its values doubled is C + C.T
+        # entry for entry, so the one product gives the bits of the two;
+        # n=23 is below _TRI_ROWS and 500 is not a multiple of it
+        g, schema = synth_graph(SynthParams(n=n, seed=n))
+        batch = prepare_batch(g, schema, "APGE", split_edges(g, 0.15, 3).train_edges)
+        z = Rng(d).randn(n, d) * scale
+        want_loss, want_dz = _two_product_link_loss_exact(z, _positive_keys(batch),
+                                                          batch.pos_weight)
+        loss, dz = link_loss(z, batch)
+        assert loss == want_loss and dz.tobytes() == want_dz.tobytes()
+
     def test_exact_holds_no_dense_array(self):
         # the logits stream through three blocks of _TRI_ROWS x n; besides
         # them the call holds only O(nnz) index arrays, so the peak falls
@@ -201,8 +223,9 @@ class TestLinkLoss:
             z = rng.randn(n, 16) * 0.3
             targets = rng.random((n, n)) < 0.01
             np.fill_diagonal(targets, True)
-            keys = np.flatnonzero(targets)
-            assert traced_peak(link_loss_exact, z, keys, 5.0) < bound * 8 * n * n, n
+            # one-sided targets give a wrong gradient, not a larger peak
+            pattern = _pattern(np.flatnonzero(targets), n)
+            assert traced_peak(link_loss_exact, z, pattern, 5.0) < bound * 8 * n * n, n
 
     def test_sampled_matches_scatter_reference(self, monkeypatch):
         # several pair chunks, and repeated pairs that must accumulate
@@ -306,6 +329,42 @@ class TestLinkLoss:
         assert peak <= 20 * neg.size
 
 
+def _two_product_link_loss_exact(z_in, keys, pos_weight):
+    """The exact loss as it read the sorted i*n+j ``keys`` of the targets and
+    took (c + c.T) @ z_in, the reference for the one product on L's
+    pattern."""
+    n = z_in.shape[0]
+    size = float(n * n)
+    rows, cols = np.divmod(keys, n)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.argsort(lo)
+    bounds = np.searchsorted(lo[order], np.arange(0, n + models._TRI_ROWS, models._TRI_ROWS))
+    x_pos = np.empty(keys.size)
+    bufs = [np.empty(min(models._TRI_ROWS, n) * n) for _ in range(3)]
+    dz = np.zeros(z_in.shape)
+    total = 0.0
+    for b, s in enumerate(range(0, n, models._TRI_ROWS)):
+        h = min(models._TRI_ROWS, n - s)
+        x, sp_x, scratch = (buf[:h * (n - s)].reshape(h, n - s) for buf in bufs)
+        np.matmul(z_in[s:s + h], z_in[s:].T, out=x)
+        mine = order[bounds[b]:bounds[b + 1]]
+        x_pos[mine] = x[lo[mine] - s, hi[mine] - s]
+        softplus(x, out=sp_x, scratch=scratch)
+        total += float(sp_x[:, :h].sum()) + 2.0 * float(sp_x[:, h:].sum())
+        np.subtract(x, sp_x, out=x)
+        np.exp(x, out=x)
+        dz[s:s + h] += x @ z_in[s:]
+        dz[s + h:] += x[:, h:].T @ z_in[s:s + h]
+    sp_pos = softplus(x_pos)
+    total += float(((pos_weight - 1.0) * sp_pos - pos_weight * x_pos).sum())
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    c = sp.csr_matrix((((pos_weight - 1.0) * np.exp(x_pos - sp_pos) - pos_weight) / size,
+                       cols, indptr), shape=(n, n))
+    dz *= 2.0 / size
+    dz += (c + c.T) @ z_in
+    return total / size, dz
+
+
 def _whole_side_link_loss_sampled(z_in, pos_keys, neg_keys, n_neg_total):
     """The sampled loss with whole-side temporaries, the reference for the
     blocked one: rows and columns of every pair, then the logits a chunk
@@ -396,7 +455,7 @@ def _searchsorted_negatives(batch, count, rng):
     """Negative sampling as one sorted-key lookup per candidate, the
     reference for the filtered rejection."""
     n = batch.n
-    pos_keys = batch.link_keys
+    pos_keys = _positive_keys(batch)
     accepted = []
     have = 0
     while have < count:
@@ -414,8 +473,8 @@ def _joined_blocks_negatives(batch, count, rng):
     and joins them at the end, the reference for the one preallocated
     output; counts below 256 take one draw of 256 and trim it."""
     n = batch.n
-    pos_keys = batch.link_keys
-    table, bits = batch.positive_filter()
+    pos_keys = _positive_keys(batch)
+    table, bits = models._positive_filter(pos_keys)
     accepted = []
     have = 0
     while have < count:
@@ -435,17 +494,15 @@ def _joined_blocks_negatives(batch, count, rng):
 
 def _target_batch(n, edges):
     targets = adjacency_with_self_loops(n, np.asarray(edges, dtype=np.int64))
-    return Batch(laplacian=targets, lx=np.zeros((n, 1)),
-                 link_keys=np.flatnonzero(targets.toarray()),
-                 utility={}, privacy_onehot=np.zeros((n, 2)),
-                 privacy_mask=np.arange(0))
+    return Batch(laplacian=targets, lx=np.zeros((n, 1)), utility={},
+                 privacy_onehot=np.zeros((n, 2)), privacy_mask=np.arange(0))
 
 
 @given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), keep=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
-def test_link_keys_are_the_self_looped_training_adjacency(n, density, keep, seed):
-    # prepare_batch reads the keys off L's sparsity pattern, which
-    # normalize_adjacency takes from the self-looped training adjacency
+def test_link_targets_are_the_self_looped_training_adjacency(n, density, keep, seed):
+    # the link targets are L's sparsity pattern, which normalize_adjacency
+    # takes from the self-looped training adjacency, in key order
     rng = np.random.default_rng(seed)
     edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
     train_edges = edges[rng.random(len(edges)) < keep]
@@ -453,8 +510,9 @@ def test_link_keys_are_the_self_looped_training_adjacency(n, density, keep, seed
                                             "dept": rng.integers(0, 3, n)})
     schema = AttributeSchema(names=("private", "dept"), classes={"private": 2, "dept": 2},
                              roles={"private": "private", "dept": "utility"})
-    keys = prepare_batch(g, schema, "GAE", train_edges).link_keys
-    assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+    lap = prepare_batch(g, schema, "GAE", train_edges).laplacian
+    keys = np.repeat(np.arange(n), np.diff(lap.indptr)) * n + lap.indices
+    assert np.all(np.diff(keys) > 0)
     targets = adjacency_with_self_loops(n, train_edges).toarray()
     assert np.array_equal(keys, np.flatnonzero(targets))
 
@@ -491,7 +549,7 @@ class TestNegativeSampling:
         indptr, cols = got
         keys = np.repeat(np.arange(n), np.diff(indptr)) * n + cols
         assert cols.size == count and indptr[-1] == count
-        assert not np.isin(keys, batch.link_keys).any()
+        assert not np.isin(keys, _positive_keys(batch)).any()
         # the same number of draws: the streams continue alike
         state = rng_a._gen.bit_generator.state
         assert rng_b._gen.bit_generator.state == state == rng_c._gen.bit_generator.state
@@ -511,7 +569,7 @@ class TestNegativeSampling:
         batch = _target_batch(n, pairs)
         keys = _searchsorted_negatives(batch, 3000, Rng(2))
         _assert_pattern(models.sample_negative_pairs(batch, 3000, Rng(2)), keys, n)
-        assert not np.isin(keys, batch.link_keys).any()
+        assert not np.isin(keys, _positive_keys(batch)).any()
 
     @pytest.mark.parametrize("block", [1, 7, 256, None])
     def test_stream_does_not_depend_on_the_draw_block(self, monkeypatch, block):
@@ -551,8 +609,8 @@ class TestNegativeSampling:
 
     def test_filter_marks_every_positive(self):
         batch = _target_batch(30, [(i, (i * 7 + 3) % 30) for i in range(30)])
-        table, bits = batch.positive_filter()
-        keys = batch.link_keys
+        keys = _positive_keys(batch)
+        table, bits = models._positive_filter(keys)
         assert table.size == 2 ** bits and bits >= 10
         assert table.size <= max(2 ** 10, 16 * keys.size)
         assert table[models._key_slots(keys, bits)].all()

@@ -156,8 +156,8 @@ class TestTrain:
 
     def test_sampled_steps_read_the_negatives_stream(self, small_synth, monkeypatch):
         # iteration t trains on the t-th draw of negatives_per_positive x
-        # |link_keys| pairs from the run's "negatives" stream, against the
-        # positives' pattern, L's, from which link_keys are derived
+        # nnz(L) pairs from the run's "negatives" stream, against the
+        # positives' pattern, L's
         g, schema = small_synth
         cfg = quick_cfg("GAE", link_mode="sampled", negs_per_pos=3, iterations=3, seed=5)
         seen = []
@@ -173,11 +173,11 @@ class TestTrain:
         rng = Rng(derive_seed(5, "negatives"))
         assert len(seen) == 3
         for (indptr, cols), negatives, n_neg_total in seen:
-            want = models.sample_negative_pairs(batch, 3 * batch.link_keys.size, rng)
+            lap = batch.laplacian
+            want = models.sample_negative_pairs(batch, 3 * lap.nnz, rng)
             assert all(np.array_equal(a, b) for a, b in zip(negatives, want))
-            keys = np.repeat(np.arange(g.n), np.diff(indptr)) * g.n + cols
-            assert np.array_equal(keys, batch.link_keys)
-            assert n_neg_total == g.n * g.n - batch.link_keys.size
+            assert np.array_equal(indptr, lap.indptr) and np.array_equal(cols, lap.indices)
+            assert n_neg_total == g.n * g.n - lap.nnz
 
     def test_negatives_are_freed_before_the_backward_pass(self, small_synth, monkeypatch):
         # a step's negative pattern (2.4 MB at n=6000) must not live through
@@ -214,16 +214,15 @@ class TestTrain:
     @staticmethod
     def _step_peak(n, width, draws, negs_per_pos):
         """(traced peak, positives) of one sampled step, the sampler then
-        the loss. L and the positives' filter belong to the batch, made
-        once per run, so they are made before the trace."""
+        the loss. L belongs to the batch, made once per run, so it is made
+        before the trace; the positives' keys and filter, which the sampler
+        makes from L in each call, are traced."""
         rng = Rng(8)
         keys = np.unique(rng.integers(0, n * n, size=draws))
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         lap = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
-        batch = models.Batch(laplacian=lap, lx=np.zeros((n, 1)), link_keys=keys,
-                             utility={}, privacy_onehot=np.zeros((n, 2)),
-                             privacy_mask=np.arange(0))
-        batch.positive_filter()
+        batch = models.Batch(laplacian=lap, lx=np.zeros((n, 1)), utility={},
+                             privacy_onehot=np.zeros((n, 2)), privacy_mask=np.arange(0))
         z = rng.randn(n, width) * 0.3
 
         def step():
@@ -260,6 +259,21 @@ class TestTrain:
         # negative each: dz and the product beside it, n x 64 floats each,
         # outweigh the pairs (about 73 bytes per negative in all)
         self._refuses_under_a_step_peak(monkeypatch, 6000, 64, 118500, 1)
+
+    def test_link_memory_check_names_the_width_when_it_alone_is_over(self):
+        # 16 x n x width is 2014 MiB of the budget's 1024 at n=2e6, width
+        # 66, whatever the count of negatives
+        with pytest.raises(ConfigError, match="needs 2014 MiB for its n x 66 gradient alone "
+                                              r".*; lower model\.d") as err:
+            training._check_link_memory(2_000_000, 66, 2_000_000, 1)
+        assert "negatives_per_positive" not in str(err.value)
+
+    def test_link_memory_check_names_the_negatives_otherwise(self):
+        # 488 MiB of n x width fit the budget; 20 negatives of 2e6 positives
+        # take it to 1450 MiB
+        with pytest.raises(ConfigError, match="needs 1450 MiB for its negative pairs .*; "
+                                              "lower negatives_per_positive$"):
+            training._check_link_memory(2_000_000, 16, 2_000_000, 20)
 
     @pytest.mark.parametrize("variant,width", [("GAE", 8), ("APGE", 8 + 2), ("APGE_NOEXP", 4 + 2)])
     def test_link_memory_check_reads_the_decoder_width(self, small_synth, monkeypatch,
