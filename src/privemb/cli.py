@@ -25,7 +25,6 @@ from .numkit import NumericError, derive_seed
 from .training import (
     ConfigError,
     TrainConfig,
-    edge_split,
     export_embeddings,
     export_trace,
     load_embeddings,
@@ -157,9 +156,14 @@ def load_dataset(conf: dict):
     raise ConfigError("config needs a 'data' or 'synth' section")
 
 
-def _out_dir(conf: dict, args) -> Path:
+def _out_dir(conf: dict, args, *outputs) -> Path:
+    """The output folder, made if missing, without the files named
+    ``outputs`` that an earlier run left there: a command that fails
+    leaves none of them behind."""
     out = Path(args.out) if args.out else Path(conf["output"])
     out.mkdir(parents=True, exist_ok=True)
+    for name in outputs:
+        (out / name).unlink(missing_ok=True)
     return out
 
 
@@ -180,7 +184,7 @@ def _classifier_specs(conf: dict):
 def cmd_synth(conf: dict, args) -> int:
     if "synth" not in conf:
         raise ConfigError("synth command needs a 'synth' section")
-    out = _out_dir(conf, args)
+    out = _out_dir(conf, args, "edges.tsv", "attributes.csv")
     g, schema = load_dataset(conf)
     save_graph(g, schema, out / "edges.tsv", out / "attributes.csv")
     _echo_config(conf, out)
@@ -190,9 +194,9 @@ def cmd_synth(conf: dict, args) -> int:
 
 
 def cmd_train(conf: dict, args) -> int:
+    out = _out_dir(conf, args, "embeddings.csv", "loss_trace.csv")
     g, schema = load_dataset(conf)
     cfg = build_train_config(conf)
-    out = _out_dir(conf, args)
     result = train(g, schema, cfg)
     export_embeddings(result.Z, out / "embeddings.csv")
     export_trace(result.trace, out / "loss_trace.csv")
@@ -212,17 +216,15 @@ AUDIT_LABELS = {"attack": {"privacy": "eval/attack"},
 
 
 def cmd_audit(conf: dict, args) -> int:
+    out = _out_dir(conf, args, "report.csv")
     g, schema = load_dataset(conf)
     cfg = build_train_config(conf)
     z = load_embeddings(args.embeddings)
     if z.shape[0] != g.n:
         raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
-    out = _out_dir(conf, args)
-    labels = AUDIT_LABELS[args.command]
-    split = edge_split(g, cfg) if "link" in labels else None
-    records = audit(z, g, schema, _classifier_specs(conf), labels, conf["seed"], split=split,
+    records = audit(z, g, schema, _classifier_specs(conf), AUDIT_LABELS[args.command], cfg,
                     repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
-                    utility_fraction=conf["eval"]["utility_fraction"], method=cfg.variant)
+                    utility_fraction=conf["eval"]["utility_fraction"])
     write_report(records, out / "report.csv")
     _echo_config(conf, out)
     for r in records:
@@ -232,17 +234,16 @@ def cmd_audit(conf: dict, args) -> int:
 
 
 def cmd_sweep(conf: dict, args) -> int:
+    out = _out_dir(conf, args, "report.csv")
     g, schema = load_dataset(conf)
     cfg = build_train_config(conf)
-    out = _out_dir(conf, args)
     axis = args.axis
     values = {"lambda": conf["eval"]["lambda_values"],
               "dprime": conf["eval"]["dprime_values"],
               "fraction": conf["eval"]["fractions"]}[axis]
     if not values:
         raise ConfigError(f"no sweep values configured for axis '{axis}'")
-    spec = _classifier_specs(conf)[0]
-    records = sweep(axis, values, g, schema, cfg, spec,
+    records = sweep(axis, values, g, schema, cfg, _classifier_specs(conf),
                     repeats=conf["eval"]["sweep_repeats"],
                     fraction=conf["eval"]["fraction"],
                     utility_fraction=conf["eval"]["utility_fraction"],

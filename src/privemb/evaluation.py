@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import training
-from .graphcore import EdgeSplit, InputError, canonical_edges, sample_non_edges, split_nodes
+from .graphcore import (EdgeSplit, InputError, canonical_edges, onehot, sample_non_edges,
+                        split_nodes)
 from .numkit import Adam, NumericError, Rng, derive_seed, softmax_cross_entropy_grad
 
 CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
@@ -71,12 +72,6 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
     return float(np.mean(scores))
 
 
-def _onehot(y0: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((y0.size, m), dtype=np.float64)
-    out[np.arange(y0.size), y0] = 1.0
-    return out
-
-
 def _flat_views(shapes):
     """One zeroed float64 vector and C-contiguous views of it, one per shape,
     so a single Adam entry updates every block in one pass."""
@@ -95,14 +90,14 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     n, d = x.shape
     theta, (w, b) = _flat_views([(d, m), (m,)])
     grad, (gw, gb) = _flat_views([(d, m), (m,)])
-    onehot = _onehot(y0, m)
+    targets = onehot(y0 + 1, m)
     logits = np.empty((n, m))
     g = np.empty((n, m))
     opt = Adam({"theta": theta}, lr=spec.lr)
     for _ in range(spec.steps):
         np.matmul(x, w, out=logits)
         logits += b
-        softmax_cross_entropy_grad(logits, onehot, g, n)
+        softmax_cross_entropy_grad(logits, targets, g, n)
         np.matmul(x.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
         opt.step({"theta": theta}, {"theta": grad})
@@ -134,7 +129,7 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     rng = Rng(seed)
     w1[...] = rng.glorot(d, hid)
     w2[...] = rng.glorot(hid, m)
-    onehot = _onehot(y0, m)
+    targets = onehot(y0 + 1, m)
     tile = min(n, _MLP_TILE_ROWS)
     pre = np.empty((tile, hid))
     h = np.empty((tile, hid))
@@ -142,19 +137,19 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     dh = np.empty((tile, hid))
     logits = np.empty((tile, m))
     g = np.empty((tile, m))
-    # each tile's rows of x and onehot, and the scratch rows it uses
-    tiles = [[a[s:s + tile] for a in (x, onehot)]
+    # each tile's rows of x and the targets, and the scratch rows it uses
+    tiles = [[a[s:s + tile] for a in (x, targets)]
              + [a[:min(tile, n - s)] for a in (pre, h, active, dh, logits, g)]
              for s in range(0, n, tile)]
     opt = Adam({"theta": theta}, lr=spec.lr)
     for _ in range(spec.steps):
-        for i, (x_t, onehot_t, pre_t, h_t, active_t, dh_t, logits_t, g_t) in enumerate(tiles):
+        for i, (x_t, targets_t, pre_t, h_t, active_t, dh_t, logits_t, g_t) in enumerate(tiles):
             np.matmul(x_t, w1, out=pre_t)
             pre_t += b1
             np.maximum(pre_t, 0.0, out=h_t)
             np.matmul(h_t, w2, out=logits_t)
             logits_t += b2
-            softmax_cross_entropy_grad(logits_t, onehot_t, g_t, n)
+            softmax_cross_entropy_grad(logits_t, targets_t, g_t, n)
             np.matmul(g_t, w2.T, out=dh_t)
             np.greater(pre_t, 0.0, out=active_t)
             dh_t *= active_t
@@ -291,17 +286,19 @@ def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
     return _summary(method, task, spec, fraction, accs, f1s)
 
 
-def audit(z, g, schema, specs, labels: dict, seed: int, *, repeats: int, fraction: float,
-          utility_fraction: float, split: EdgeSplit = None, method: str = "") -> list:
-    """Audit a released embedding with every classifier spec.
+def audit(z, g, schema, specs, labels: dict, cfg: training.TrainConfig, *, repeats: int,
+          fraction: float, utility_fraction: float, method: str = None) -> list:
+    """Audit the embedding ``z`` of the run ``cfg`` with every classifier spec.
 
     ``labels`` maps each task to run ('privacy', 'utility', 'link') to the
-    label its seed is derived from; "{name}" in a label stands for the
-    attribute. ``fraction`` is the attack's knowledge fraction and
-    ``utility_fraction`` the utility tasks' training fraction. Records come
-    in the order privacy, each utility attribute, link, and within a task
-    one spec after another. The link task scores ``split``.
+    label that derives its seed from ``cfg.seed``; "{name}" in a label
+    stands for the attribute. ``fraction`` is the attack's knowledge
+    fraction and ``utility_fraction`` the utility tasks' training fraction.
+    Records come in the order privacy, each utility attribute, link, and
+    within a task one spec after another; their method is ``method``, or
+    the run's variant. The link task scores the run's edge split.
     """
+    method = cfg.variant if method is None else method
     jobs = [("privacy", "privacy", schema.private_attribute, fraction)]
     jobs += [("utility", f"utility:{name}", name, utility_fraction)
              for name in schema.utility_attributes]
@@ -310,14 +307,15 @@ def audit(z, g, schema, specs, labels: dict, seed: int, *, repeats: int, fractio
         if kind not in labels:
             continue
         codes = g.attributes[name]
-        task_seed = derive_seed(seed, labels[kind].replace("{name}", name))
+        task_seed = derive_seed(cfg.seed, labels[kind].replace("{name}", name))
         for spec in specs:
             records.extend(_classification_eval(z, codes, np.where(codes > 0)[0],
                                                 schema.classes[name], spec, frac, task_seed,
                                                 repeats, method, task))
     if "link" in labels:
+        split = training.edge_split(g, cfg)
         for spec in specs:
-            records.extend(link_eval(z, split, spec, seed=derive_seed(seed, labels["link"]),
+            records.extend(link_eval(z, split, spec, seed=derive_seed(cfg.seed, labels["link"]),
                                      method=method))
     return records
 
@@ -393,38 +391,35 @@ def write_report(records, path) -> None:
 SWEEP_AXES = ("lambda", "dprime", "fraction")
 
 
-def sweep(axis: str, values, g, schema, base_cfg, spec: ClassifierSpec, *,
+def sweep(axis: str, values, g, schema, base_cfg, specs, *,
           repeats: int, fraction: float, utility_fraction: float, seed: int = 0) -> list:
-    """Hyperparameter sweeps matching the audit protocol.
+    """Hyperparameter sweeps matching the audit protocol, with every
+    classifier spec.
 
     'lambda' and 'dprime' retrain per value with ``repeats`` derived seeds
     and report privacy, utility, and link metrics at ``fraction`` and
     ``utility_fraction``; 'fraction' trains once and re-attacks at every
-    knowledge fraction.
+    knowledge fraction, with task seeds derived from ``seed``.
     """
-    records = []
     if axis == "fraction":
-        result = training.train(g, schema, base_cfg)
-        for f in values:
-            records.extend(audit(result.Z, g, schema, [spec], {"privacy": f"fraction/{f:g}"},
-                                 seed, repeats=repeats, fraction=float(f),
-                                 utility_fraction=utility_fraction, method=base_cfg.variant))
-        return records
+        z = training.train(g, schema, base_cfg).Z
+        return [row for f in values
+                for row in audit(z, g, schema, specs, {"privacy": f"fraction/{f:g}"},
+                                 replace(base_cfg, seed=seed), repeats=repeats,
+                                 fraction=float(f), utility_fraction=utility_fraction)]
 
+    key = {"lambda": "lam", "dprime": "d_prime"}[axis]
     labels = {"privacy": "attack", "utility": "utility", "link": "link"}
+    records = []
     for value in values:
         tag = f"{base_cfg.variant}[{axis}={value:g}]"
         runs = []
         for r in range(repeats):
-            run_seed = derive_seed(seed, f"{axis}/{value:g}/{r}")
-            if axis == "lambda":
-                cfg = replace(base_cfg, lam=float(value), seed=run_seed)
-            else:
-                cfg = replace(base_cfg, d_prime=int(value), seed=run_seed)
-            result = training.train(g, schema, cfg)
-            runs.append(audit(result.Z, g, schema, [spec], labels, run_seed,
-                              split=result.edge_split, repeats=1, fraction=fraction,
-                              utility_fraction=utility_fraction, method=tag))
+            cfg = replace(base_cfg, seed=derive_seed(seed, f"{axis}/{value:g}/{r}"),
+                          **{key: value})
+            runs.append(audit(training.train(g, schema, cfg).Z, g, schema, specs, labels, cfg,
+                              repeats=1, fraction=fraction, utility_fraction=utility_fraction,
+                              method=tag))
         # one record per task and metric, over the runs
         for rows in zip(*runs):
             means = [row.mean for row in rows]

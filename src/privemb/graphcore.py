@@ -1,15 +1,13 @@
 """Graph data model, file I/O, adjacency normalization, and splits.
 
 Node identifiers are dense 0-based integers internally; the loader remaps
-arbitrary integer ids from the attribute file and keeps the original ids
-around as ``Graph.node_ids``.
+arbitrary integer ids from the attribute file to their order there.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -86,9 +84,6 @@ class AttributeSchema:
     def utility_attributes(self) -> tuple:
         return tuple(n for n in self.names if self.roles[n] == "utility")
 
-    def width(self, exclude=()) -> int:
-        return sum(self.classes[n] for n in self.names if n not in exclude)
-
 
 def canonical_edges(pairs, n: int) -> np.ndarray:
     """Normalize to unique (u, v) rows with u < v, sorted lexicographically;
@@ -115,7 +110,6 @@ class Graph:
     n: int
     edges: np.ndarray
     attributes: dict
-    node_ids: tuple = None
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -123,18 +117,13 @@ class Graph:
             self.attributes[name] = np.asarray(codes, dtype=np.int64)
 
 
-def _text(src):
-    """``src`` if it is a text handle, else the file it names, opened."""
-    return nullcontext(src) if hasattr(src, "read") else open(src, encoding="utf-8", newline="")
-
-
-def load_graph(edge_src, attribute_src, schema: AttributeSchema) -> Graph:
-    """Load a graph from an edge list and an attribute table, paths or text
-    handles. Edge file: two node ids per line, tab-separated; self-loops are
-    dropped and duplicates collapse. Attribute file: a CSV header
-    ``node_id,<attr>,...`` naming every schema attribute, then one row of
-    integers per node; codes run 0..M with 0 meaning missing."""
-    with _text(attribute_src) as fh:
+def load_graph(edge_path, attribute_path, schema: AttributeSchema) -> Graph:
+    """Load a graph from an edge list and an attribute table. Edge file: two
+    node ids per line, tab-separated; self-loops are dropped and duplicates
+    collapse. Attribute file: a CSV header ``node_id,<attr>,...`` naming
+    every schema attribute, then one row of integers per node; codes run
+    0..M with 0 meaning missing."""
+    with open(attribute_path, encoding="utf-8", newline="") as fh:
         # a line at a time, so that the handle can tell where the rows start
         reader = csv.reader(iter(fh.readline, ""))
         header = next(reader, None)
@@ -166,7 +155,7 @@ def load_graph(edge_src, attribute_src, schema: AttributeSchema) -> Graph:
             raise InputError(f"attribute line {line_of(row)}: code {table[row, j + 1]} of "
                              f"'{header[j + 1]}' out of range 0..{m[j]}")
 
-    with _text(edge_src) as fh:
+    with open(edge_path, encoding="utf-8", newline="") as fh:
         ends, line_of = _read_table(fh, "edge", "\t", np.int64, 1, 2, "two tab-separated integers")
         if dense:
             pairs, unknown = ends, (ends < 0) | (ends >= n)
@@ -178,8 +167,7 @@ def load_graph(edge_src, attribute_src, schema: AttributeSchema) -> Graph:
             raise InputError(f"edge line {line_of(row)}: unknown node id {ends[row, col]}")
 
     attributes = {name: table[:, header.index(name)].copy() for name in schema.names}
-    return Graph(n=n, edges=canonical_edges(pairs, n), attributes=attributes,
-                 node_ids=tuple(ids.tolist()))
+    return Graph(n=n, edges=canonical_edges(pairs, n), attributes=attributes)
 
 
 def _read_table(fh, what: str, delimiter: str, dtype, line=1, width=None, form=None):
@@ -271,32 +259,25 @@ def normalize_adjacency(g: Graph, edges: np.ndarray = None) -> sp.csr_matrix:
     return lap
 
 
-def build_features(g: Graph, schema: AttributeSchema, exclude=()) -> np.ndarray:
-    """Stack one-hot blocks for every attribute not excluded.
+def onehot(codes: np.ndarray, m: int) -> np.ndarray:
+    """One row of m columns per code: a one in column c - 1 for code c, a
+    zero row for code 0 (missing)."""
+    out = np.zeros((codes.size, m))
+    labeled = np.flatnonzero(codes)
+    out[labeled, codes[labeled] - 1] = 1.0
+    return out
 
-    Missing codes produce an all-zero block row.
-    """
-    width = schema.width(exclude)
-    x = np.zeros((g.n, width), dtype=np.float64)
-    offset = 0
-    for name in schema.names:
-        if name in exclude:
-            continue
-        codes = g.attributes[name]
-        labeled = np.where(codes > 0)[0]
-        x[labeled, offset + codes[labeled] - 1] = 1.0
-        offset += schema.classes[name]
-    return x
+
+def build_features(g: Graph, schema: AttributeSchema, exclude=()) -> np.ndarray:
+    """The one-hot blocks of every attribute not excluded, side by side."""
+    return np.hstack([onehot(g.attributes[name], schema.classes[name])
+                      for name in schema.names if name not in exclude])
 
 
 def onehot_labels(g: Graph, schema: AttributeSchema, name: str):
     """Return (onehot [n x M], mask of labeled node indices) for one attribute."""
     codes = g.attributes[name]
-    m = schema.classes[name]
-    y = np.zeros((g.n, m), dtype=np.float64)
-    mask = np.where(codes > 0)[0]
-    y[mask, codes[mask] - 1] = 1.0
-    return y, mask
+    return onehot(codes, schema.classes[name]), np.flatnonzero(codes)
 
 
 @dataclass

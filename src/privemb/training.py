@@ -127,13 +127,12 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingResult:
-    """Released embedding plus everything needed to audit the run."""
+    """Released embedding, its code and the run's loss trace."""
 
     Z: np.ndarray
     z_code: np.ndarray
     trace: list
     wall_time: float
-    edge_split: EdgeSplit
 
 
 def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
@@ -206,8 +205,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         if not (g.attributes[name] > 0).any():
             raise InputError(f"attribute '{name}' has no labeled node to train on")
 
-    split = edge_split(g, cfg)
-    batch = prepare_batch(g, schema, cfg.variant, split.train_edges)
+    batch = prepare_batch(g, schema, cfg.variant, edge_split(g, cfg).train_edges)
     state = init_state(cfg, batch)
 
     # the exact link loss, or negatives drawn afresh at every obfuscator step
@@ -283,7 +281,6 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         z_code=z_code,
         trace=trace,
         wall_time=time.perf_counter() - start,
-        edge_split=split,
     )
 
 

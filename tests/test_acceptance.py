@@ -66,12 +66,11 @@ def _metrics(key):
     variant, seed, kw = key
     kw = dict(kw)
     g, schema = dataset()
-    res = train(g, schema, TrainConfig(variant=variant, seed=seed, **kw))
-
+    cfg = TrainConfig(variant=variant, seed=seed, **kw)
+    res = train(g, schema, cfg)
     rows = audit(res.Z, g, schema, [SPEC],
                  {"privacy": "gate/attack", "utility": "gate/utility", "link": "gate/link"},
-                 seed, split=res.edge_split, repeats=EVAL_REPEATS, fraction=0.5,
-                 utility_fraction=0.7)
+                 cfg, repeats=EVAL_REPEATS, fraction=0.5, utility_fraction=0.7)
     means = {(r.task, r.metric): r.mean for r in rows}
     m = {
         "att_f1": means["privacy", "MacroF1"],

@@ -321,8 +321,7 @@ def clique_pair_graph():
             for j in range(i + 1, 6):
                 edges.append((base + i, base + j))
     g = Graph(n=12, edges=np.array(edges, dtype=np.int64),
-              attributes={"group": np.tile([1, 2], 6)},
-              node_ids=tuple(range(12)))
+              attributes={"group": np.tile([1, 2], 6)})
     return g
 
 
@@ -434,7 +433,8 @@ def test_audit_equals_direct_calls(small_synth):
                              roles={"private": "private", "dept": "utility",
                                     "year": "utility"})
     z = Rng(5).randn(g.n, 4)
-    split = split_edges(g, 0.2, seed=6)
+    cfg = TrainConfig(edge_holdout=0.2, seed=9)  # the link task scores the run's split
+    split = split_edges(g, 0.2, derive_seed(9, "edges"))
     specs = [ClassifierSpec(kind="softmax", steps=20), ClassifierSpec(kind="knn")]
     kw = dict(repeats=2, fraction=0.4, utility_fraction=0.6, method="m")
 
@@ -451,9 +451,12 @@ def test_audit_equals_direct_calls(small_synth):
         want += link_eval(z, split, spec, seed=derive_seed(9, "l"), method="m")
 
     labels = {"privacy": "p", "utility": "u/{name}", "link": "l"}
-    got = audit(z, g, schema, specs, labels, 9, split=split, **kw)
+    got = audit(z, g, schema, specs, labels, cfg, **kw)
     assert got == want
-    assert audit(z, g, schema, specs, {"link": "l"}, 9, split=split, **kw) == want[-4:]
+    assert audit(z, g, schema, specs, {"link": "l"}, cfg, **kw) == want[-4:]
+    del kw["method"]  # the method defaults to the run's variant
+    assert [r.method for r in audit(z, g, schema, specs, {"link": "l"}, cfg, **kw)] \
+        == ["GAE"] * 4
 
 
 # ---------------------------------------------------------------- sweeps
@@ -464,7 +467,7 @@ class TestSweep:
         g, schema = small_synth
         cfg = TrainConfig(variant="GAE", d=8, hidden=10, iterations=3)
         rows = sweep("fraction", [0.3, 0.5], g, schema, cfg,
-                     ClassifierSpec(), repeats=2, fraction=0.5, utility_fraction=0.7, seed=0)
+                     [ClassifierSpec()], repeats=2, fraction=0.5, utility_fraction=0.7, seed=0)
         fractions = sorted({r.fraction for r in rows})
         assert fractions == [0.3, 0.5]
         assert all(r.task == "privacy" for r in rows)
@@ -474,7 +477,7 @@ class TestSweep:
         g, schema = small_synth
         cfg = TrainConfig(variant="APGE", d=8, d_prime=4, hidden=10,
                           iterations=3)
-        rows = sweep("lambda", [0.0, 1.0], g, schema, cfg, ClassifierSpec(),
+        rows = sweep("lambda", [0.0, 1.0], g, schema, cfg, [ClassifierSpec()],
                      repeats=1, fraction=0.5, utility_fraction=0.7, seed=0)
         methods = {r.method for r in rows}
         assert methods == {"APGE[lambda=0]", "APGE[lambda=1]"}

@@ -1,5 +1,5 @@
-"""Golden output bytes: three small runs whose output files keep their
-sha256 digests.
+"""Golden output bytes: three small runs, the audits of one of them and a
+sweep on each axis, whose output files keep their sha256 digests.
 
 A refactor that claims "same bytes" is checked here. A change that alters
 output bytes on purpose updates ``DIGESTS`` and logs old -> new in
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from privemb.cli import main
+from privemb.evaluation import SWEEP_AXES
 
 # where DIGESTS were taken
 RECORDED = {"numpy": "2.4.6", "OpenBLAS": "0.3.31.188.0",
@@ -36,6 +37,12 @@ DIGESTS = {
         "fd3551aa351063ff96996a62e12f6961d03d56de48edf79de062ce65dde62e69",
     "eval-link/report.csv":
         "fc91dea982d0dc7cf23446d132197945adc2608a1a8e5df019ff3aeb1417f67b",
+    "sweep-dprime/report.csv":
+        "776c09e7cd9677d6824e4cfbfef639dfeaa04aebcc9ed71902fdf0df942dfc7c",
+    "sweep-fraction/report.csv":
+        "66a14b84f702d5df08176ed046be84f5e7b46d46288dbbdfc0cb824e34d84efa",
+    "sweep-lambda/report.csv":
+        "107a521c8b86c6d7a5a15c0e9130f233d5d439302448f5d36cc84b8342976157",
 }
 
 SYNTH = {"n": 200, "private_classes": 2, "utility_classes": 3, "p_in": 0.08, "p_out": 0.01}
@@ -48,6 +55,10 @@ RUNS = {
                                                            "link_loss": "sampled"}},
 }
 AUDITS = ("attack", "eval-attr", "eval-link")
+AUDIT_EVAL = {"classifiers": ["softmax", "mlp", "knn"], "repeats": 2}
+# two values per axis, two models per value, one classifier
+SWEEP_EVAL = {"classifiers": ["mlp"], "sweep_repeats": 2, "lambda_values": [0.0, 1.0],
+              "dprime_values": [2, 4], "fractions": [0.3, 0.5]}
 
 
 def _platform() -> dict:
@@ -62,12 +73,11 @@ def _platform() -> dict:
     return {"numpy": np.__version__, "OpenBLAS": blas.get("version"), "CPU": cpu}
 
 
-def _command(tmp, command, run, *extra):
+def _command(tmp, command, run, *extra, evaluation=AUDIT_EVAL, out=None):
     config = tmp / f"{run}.json"
     config.write_text(json.dumps(dict(RUNS[run], seed=5, output=str(tmp / run),
-                                      eval={"classifiers": ["softmax", "mlp", "knn"],
-                                            "repeats": 2})))
-    out = tmp / (run if command == "train" else command)
+                                      eval=evaluation)))
+    out = tmp / (out or (run if command == "train" else command))
     assert main([command, "--config", str(config), "--out", str(out), *extra]) == 0
     return out
 
@@ -111,3 +121,10 @@ def test_training_outputs(tmp_path_factory, run):
 
 def test_audit_reports(tmp_path_factory):
     _check(_outputs(tmp_path_factory, "audits"), [f"{c}/report.csv" for c in AUDITS])
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_reports(tmp_path, axis):
+    _command(tmp_path, "sweep", "apge-exact", "--axis", axis, evaluation=SWEEP_EVAL,
+             out=f"sweep-{axis}")
+    _check(tmp_path, [f"sweep-{axis}/report.csv"])

@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 import re
 import tempfile
@@ -40,7 +39,12 @@ SCHEMA = AttributeSchema(
 
 
 def _load(edge_text, attr_text, schema=SCHEMA):
-    return load_graph(io.StringIO(edge_text), io.StringIO(attr_text), schema)
+    """load_graph on an edge file and an attribute file holding these texts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, attributes = Path(tmp) / "edges.tsv", Path(tmp) / "attributes.csv"
+        edges.write_text(edge_text, encoding="utf-8", newline="")
+        attributes.write_text(attr_text, encoding="utf-8", newline="")
+        return load_graph(edges, attributes, schema)
 
 
 ATTRS = "node_id,status,dept\n10,1,2\n11,2,0\n12,1,3\n"
@@ -49,7 +53,6 @@ ATTRS = "node_id,status,dept\n10,1,2\n11,2,0\n12,1,3\n"
 def test_loader_basic_and_remap():
     g = _load("10\t11\n11\t12\n", ATTRS)
     assert g.n == 3
-    assert g.node_ids == (10, 11, 12)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert list(g.attributes["status"]) == [1, 2, 1]
     assert list(g.attributes["dept"]) == [2, 0, 3]
@@ -538,14 +541,14 @@ def test_save_graph_writes_the_per_line_bytes(ids, dense, data, names, values):
     pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=4 * n))
     codes = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
                                min_size=n, max_size=n))
-    edge_text = "".join(f"{ids[a]}\t{ids[b]}\n" for a, b in pairs)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["node_id", *names])
-    writer.writerows([i, *c] for i, c in zip(ids, codes))
-    g = load_graph(io.StringIO(edge_text), io.StringIO(out.getvalue()), schema)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        (tmp / "e_in.tsv").write_text("".join(f"{ids[a]}\t{ids[b]}\n" for a, b in pairs))
+        with open(tmp / "a_in.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["node_id", *names])
+            writer.writerows([i, *c] for i, c in zip(ids, codes))
+        g = load_graph(tmp / "e_in.tsv", tmp / "a_in.csv", schema)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(graphcore, "_WRITE_VALUES", values)
             save_graph(g, schema, tmp / "e.tsv", tmp / "a.csv")

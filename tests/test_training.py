@@ -90,8 +90,9 @@ def test_gae_rm_drops_private_column(small_synth):
     full = prepare_batch(g, schema, "GAE", split.train_edges)
     trimmed = prepare_batch(g, schema, "GAE_RM", split.train_edges)
     m_p = schema.classes[schema.private_attribute]
-    assert full.lx.shape[1] == schema.width()
-    assert trimmed.lx.shape[1] == schema.width() - m_p
+    width = sum(schema.classes.values())
+    assert full.lx.shape[1] == width
+    assert trimmed.lx.shape[1] == width - m_p
     # the private labels are still available for evaluation
     assert trimmed.privacy_onehot.shape[1] == m_p
 
@@ -289,11 +290,11 @@ class TestTrain:
 
     def test_holdout_respected(self, small_synth):
         g, schema = small_synth
-        res = train(g, schema, quick_cfg("GAE", edge_holdout=0.3))
-        total = len(res.edge_split.train_edges) + len(res.edge_split.heldout_pos)
+        split = edge_split(g, quick_cfg("GAE", edge_holdout=0.3))
+        total = len(split.train_edges) + len(split.heldout_pos)
         assert total == g.edges.shape[0]
-        assert len(res.edge_split.heldout_pos) == int(round(0.3 * total))
-        assert len(res.edge_split.heldout_neg) == len(res.edge_split.heldout_pos)
+        assert len(split.heldout_pos) == int(round(0.3 * total))
+        assert len(split.heldout_neg) == len(split.heldout_pos)
 
     def test_nan_abort_names_component_and_iteration(self, small_synth, monkeypatch):
         g, schema = small_synth
