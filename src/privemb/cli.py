@@ -23,6 +23,7 @@ from .gradcheck import run_suite
 from .graphcore import AttributeSchema, InputError, load_graph, save_graph
 from .numkit import NumericError, derive_seed
 from .training import (
+    TRACE_COLUMNS,
     ConfigError,
     TrainConfig,
     export_embeddings,
@@ -129,6 +130,8 @@ def resolve_config(raw: dict) -> dict:
         for need in ("edges", "attributes", "schema"):
             if not isinstance(data, dict) or need not in data:
                 raise ConfigError(f"'data' needs '{need}'")
+            if need != "schema" and not isinstance(data[need], str):
+                raise ConfigError(f"'data.{need}' must be a path string")
         conf["data"] = data
     if "synth" in raw:
         conf["synth"] = _merge_section(SYNTH_DEFAULTS, raw["synth"], "synth")
@@ -202,8 +205,7 @@ def cmd_train(conf: dict, args) -> int:
     export_trace(result.trace, out / "loss_trace.csv")
     _echo_config(conf, out)
     last = result.trace[-1]
-    parts = ", ".join(f"{k}={last[k]:.4f}" for k in ("l_link", "l_attr", "l_att", "l_dc", "l_obf")
-                      if last.get(k) is not None)
+    parts = ", ".join(f"{k}={last[k]:.4f}" for k in TRACE_COLUMNS[1:] if last[k] is not None)
     print(f"{cfg.variant}: {cfg.iterations} iterations in {result.wall_time:.1f}s ({parts})")
     print(f"wrote {out / 'embeddings.csv'}")
     return 0

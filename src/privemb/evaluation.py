@@ -18,8 +18,6 @@ from .graphcore import (EdgeSplit, InputError, canonical_edges, onehot, sample_n
                         split_nodes)
 from .numkit import Adam, NumericError, Rng, derive_seed, softmax_cross_entropy_grad
 
-CLASSIFIER_KINDS = ("softmax", "mlp", "knn")
-
 REPORT_COLUMNS = ("method", "task", "classifier", "fraction", "metric",
                   "mean", "std", "repeats")
 
@@ -35,7 +33,7 @@ class ClassifierSpec:
     k: int = 5
 
     def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
+        if self.kind not in _FITTERS:
             raise ValueError(f"unknown classifier kind '{self.kind}'")
 
 
@@ -86,11 +84,11 @@ def _require_finite(name: str, *arrays) -> None:
         raise NumericError(f"{name} is not finite")
 
 
-def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
+def _fit_softmax(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     n, d = x.shape
     theta, (w, b) = _flat_views([(d, m), (m,)])
     grad, (gw, gb) = _flat_views([(d, m), (m,)])
-    targets = onehot(y0 + 1, m)
+    targets = onehot(labels, m)
     logits = np.empty((n, m))
     g = np.empty((n, m))
     opt = Adam({"theta": theta}, lr=spec.lr)
@@ -100,12 +98,12 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
         softmax_cross_entropy_grad(logits, targets, g, n)
         np.matmul(x.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
-        opt.step({"theta": theta}, {"theta": grad})
+        opt.step({"theta": grad})
     # a huge feature can leave the weights finite and only overflow v
     _require_finite(name, theta, opt.m["theta"], opt.v["theta"])
 
     def predict(q):
-        return np.argmax(q @ w + b, axis=1)
+        return np.argmax(q @ w + b, axis=1) + 1
 
     return predict
 
@@ -116,7 +114,7 @@ def _fit_softmax(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
 _MLP_TILE_ROWS = 1024
 
 
-def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
+def _fit_mlp(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     """Full-batch Adam on a one-hidden-layer ReLU network. Each step walks
     the rows in tiles of _MLP_TILE_ROWS and sums the tiles' gradients, so
     a fit of at most one tile runs the untiled operations."""
@@ -129,7 +127,7 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     rng = Rng(seed)
     w1[...] = rng.glorot(d, hid)
     w2[...] = rng.glorot(hid, m)
-    targets = onehot(y0 + 1, m)
+    targets = onehot(labels, m)
     tile = min(n, _MLP_TILE_ROWS)
     pre = np.empty((tile, hid))
     h = np.empty((tile, hid))
@@ -160,12 +158,12 @@ def _fit_mlp(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
             np.add.reduce(g_t, axis=0, out=gb2)
             if i:
                 grad += part
-        opt.step({"theta": theta}, {"theta": grad})
+        opt.step({"theta": grad})
     _require_finite(name, theta, opt.m["theta"], opt.v["theta"])
 
     def predict(q):
         h = np.maximum(q @ w1 + b1, 0.0)
-        return np.argmax(h @ w2 + b2, axis=1)
+        return np.argmax(h @ w2 + b2, axis=1) + 1
 
     return predict
 
@@ -223,13 +221,13 @@ def _knn_nearest(q, x, k, name="fit"):
     return nearest
 
 
-def _fit_knn(x, y0, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
+def _fit_knn(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     k = min(spec.k, x.shape[0])
 
     def predict(q):
-        votes = y0[_knn_nearest(q, x, k, name)]
-        counts = (votes[:, :, None] == np.arange(m)).sum(axis=1)
-        return np.argmax(counts, axis=1)
+        votes = labels[_knn_nearest(q, x, k, name)]
+        counts = (votes[:, :, None] == np.arange(1, m + 1)).sum(axis=1)
+        return np.argmax(counts, axis=1) + 1
 
     return predict
 
@@ -239,15 +237,10 @@ _FITTERS = {"softmax": _fit_softmax, "mlp": _fit_mlp, "knn": _fit_knn}
 
 def fit_classifier(spec: ClassifierSpec, x, labels, num_classes: int, seed: int, task=""):
     """Train one battery member on codes 1..num_classes; the returned
-    predictor maps feature rows back to codes. A non-finite fit raises
+    predictor maps feature rows to codes. A non-finite fit raises
     NumericError naming ``task`` and the kind."""
-    inner = _FITTERS[spec.kind](x, labels - 1, num_classes, spec, seed,
-                                f"{task} {spec.kind} fit".lstrip())
-
-    def predict(q):
-        return inner(q) + 1
-
-    return predict
+    return _FITTERS[spec.kind](x, labels, num_classes, spec, seed,
+                               f"{task} {spec.kind} fit".lstrip())
 
 
 def _split_with_redraw(mask, labels, fraction, seed, attempts=20):
@@ -271,8 +264,6 @@ def _summary(method, task, spec, fraction, accs, f1s) -> list:
 
 def _classification_eval(z, labels, mask, num_classes, spec, fraction, seed,
                          repeats, method, task):
-    if mask.size == 0:
-        raise InputError("no labeled nodes to evaluate")
     accs = []
     f1s = []
     for r in range(repeats):
@@ -410,16 +401,15 @@ def sweep(axis: str, values, g, schema, base_cfg, specs, *,
 
     key = {"lambda": "lam", "dprime": "d_prime"}[axis]
     labels = {"privacy": "attack", "utility": "utility", "link": "link"}
+    # every run's config, resolved before any run trains
+    cfgs = [[replace(base_cfg, seed=derive_seed(seed, f"{axis}/{value:g}/{r}"),
+                     **{key: value}).resolved() for r in range(repeats)] for value in values]
     records = []
-    for value in values:
+    for value, value_cfgs in zip(values, cfgs):
         tag = f"{base_cfg.variant}[{axis}={value:g}]"
-        runs = []
-        for r in range(repeats):
-            cfg = replace(base_cfg, seed=derive_seed(seed, f"{axis}/{value:g}/{r}"),
-                          **{key: value})
-            runs.append(audit(training.train(g, schema, cfg).Z, g, schema, specs, labels, cfg,
-                              repeats=1, fraction=fraction, utility_fraction=utility_fraction,
-                              method=tag))
+        runs = [audit(training.train(g, schema, cfg).Z, g, schema, specs, labels, cfg, repeats=1,
+                      fraction=fraction, utility_fraction=utility_fraction, method=tag)
+                for cfg in value_cfgs]
         # one record per task and metric, over the runs
         for rows in zip(*runs):
             means = [row.mean for row in rows]

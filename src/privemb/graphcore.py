@@ -235,26 +235,19 @@ def save_graph(g: Graph, schema: AttributeSchema, edges_path, attributes_path) -
         write_rows(fh, ",".join(["%d"] * table.shape[1]) + "\r\n", table)
 
 
-def adjacency_with_self_loops(n: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency over the given edges plus the identity."""
+def normalize_adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Symmetrically normalized self-looped adjacency D^-1/2 (A+I) D^-1/2
+    over ``edges``, such as the training edges of a split: symmetric, with
+    sorted columns and one entry per pair."""
     import scipy.sparse as sp
 
     rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    data = np.ones(rows.size, dtype=np.float64)
-    a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
-
-
-def normalize_adjacency(g: Graph, edges: np.ndarray = None) -> sp.csr_matrix:
-    """Symmetrically normalized self-looped adjacency D^-1/2 (A+I) D^-1/2,
-    over ``edges`` (a subset of the graph's, such as the training edges of
-    a split) or over every edge."""
-    lap = adjacency_with_self_loops(g.n, g.edges if edges is None else edges)
+    lap = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    lap.sum_duplicates()
+    lap.sort_indices()
     inv_sqrt = 1.0 / np.sqrt(np.asarray(lap.sum(axis=1)).ravel())
-    rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
+    rows = np.repeat(np.arange(n), np.diff(lap.indptr))
     lap.data[:] = inv_sqrt[rows] * inv_sqrt[lap.indices]
     return lap
 

@@ -69,7 +69,6 @@ class ModelState:
     each utility attribute name to its decoder weight matrix.
     """
 
-    variant: str
     W0: np.ndarray
     W1: np.ndarray
     heads: dict
@@ -91,12 +90,6 @@ class ModelState:
             out[f"head:{name}"] = w
         return out
 
-    def disc_params(self) -> dict:
-        return {"Wd1": self.Wd1, "bd1": self.bd1, "Wd2": self.Wd2, "bd2": self.bd2}
-
-    def attacker_params(self) -> dict:
-        return {"Wa": self.Wa, "ba": self.ba}
-
 
 def init_state(cfg, batch: Batch) -> ModelState:
     """Glorot-initialize weights, zero biases, one derived stream per tensor.
@@ -111,7 +104,6 @@ def init_state(cfg, batch: Batch) -> ModelState:
     dec_in = cfg.d + (m_private if spec.disentangles else 0)
 
     kwargs = dict(
-        variant=cfg.variant,
         W0=glorot("W0", batch.lx.shape[1], cfg.hidden),
         W1=glorot("W1", cfg.hidden, enc_out),
         heads={name: glorot(f"head:{name}", dec_in, onehot.shape[1])
@@ -484,8 +476,8 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
         forward = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
     z_code, cache = forward
     z = release_from_code(state, z_code)
-    concat = VARIANT_SPECS[state.variant].disentangles
-    # a disentangling decoder also reads the one-hot private label (zeros if missing)
+    concat = state.Wd1 is not None
+    # disentangling variants wire Wd1 and also decode the private one-hot (zeros if missing)
     z_in = np.hstack([z, batch.privacy_onehot]) if concat else z
 
     l_link, dz_in = link_loss(z_in, batch, draw_negatives() if draw_negatives else None)

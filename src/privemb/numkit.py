@@ -150,9 +150,11 @@ ADAM_EPS = 1e-8
 
 
 class Adam(object):
-    """Bias-corrected Adam over a named collection of parameter arrays."""
+    """Bias-corrected Adam over a named collection of parameter arrays,
+    which it keeps and updates in place."""
 
-    def __init__(self, params: dict, lr: float = 1e-3):
+    def __init__(self, params: dict, lr: float):
+        self.params = params
         self.lr = float(lr)
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -160,16 +162,15 @@ class Adam(object):
         # two scratch arrays per parameter, so a step allocates nothing
         self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
-    def step(self, params: dict, grads: dict) -> None:
-        """Apply one update in place to the parameter set the optimizer was
-        built for.
+    def step(self, grads: dict) -> None:
+        """Apply one update in place to every parameter.
 
         p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), evaluated in that order.
         """
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in params.items():
+        for k, p in self.params.items():
             g = grads[k]
             m = self.m[k]
             v = self.v[k]

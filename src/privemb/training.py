@@ -140,7 +140,7 @@ def prepare_batch(g: Graph, schema: AttributeSchema, variant: str,
     """Assemble the per-run tensors. A variant that drops the private
     feature (GAE_RM) leaves it out of the feature matrix."""
     exclude = (schema.private_attribute,) if VARIANT_SPECS[variant].drops_private_feature else ()
-    laplacian = normalize_adjacency(g, train_edges)
+    laplacian = normalize_adjacency(g.n, train_edges)
     utility = {name: onehot_labels(g, schema, name) for name in schema.utility_attributes}
     privacy_onehot, privacy_mask = onehot_labels(g, schema, schema.private_attribute)
     return Batch(
@@ -220,8 +220,9 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
     rng_prior = Rng(derive_seed(cfg.seed, "prior"))
 
     opt_obf = Adam(state.obf_params(), lr=cfg.lr)
-    opt_att = Adam(state.attacker_params(), lr=cfg.lr_att) if spec.purges else None
-    opt_dis = Adam(state.disc_params(), lr=cfg.lr_dis) if spec.disentangles else None
+    opt_att = Adam({"Wa": state.Wa, "ba": state.ba}, lr=cfg.lr_att) if spec.purges else None
+    opt_dis = (Adam({"Wd1": state.Wd1, "bd1": state.bd1, "Wd2": state.Wd2, "bd2": state.bd2},
+                    lr=cfg.lr_dis) if spec.disentangles else None)
     # The fool step only moves the code projection W1. Letting it touch W0
     # as well turns the obfuscator/generator pair into a tug-of-war over the
     # hidden layer that reliably kills ReLU units on small graphs; W1 alone
@@ -245,7 +246,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                                                     batch.privacy_onehot,
                                                     batch.privacy_mask)
                 _require_finite(l_step, "l_att", t)
-                opt_att.step(state.attacker_params(), _finite_grads({"Wa": dwa, "ba": dba}, t))
+                opt_att.step(_finite_grads({"Wa": dwa, "ba": dba}, t))
 
         parts, grads = obfuscator_losses(state, batch, lam=lam, draw_negatives=draw_negatives,
                                          forward=forward)
@@ -254,7 +255,7 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
         if parts["l_att"] is not None:
             row["l_att"] = _require_finite(parts["l_att"], "l_att", t)
         row["l_obf"] = _require_finite(parts["l_obf"], "l_obf", t)
-        opt_obf.step(state.obf_params(), _finite_grads(grads, t))
+        opt_obf.step(_finite_grads(grads, t))
 
         if spec.disentangles:
             z_code, hidden = encoder_forward(batch.laplacian, batch.lx, state.W0, state.W1)
@@ -263,14 +264,14 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
                 l_dc, dgrads, _ = disc_loss(prior, z_code, state.Wd1, state.bd1,
                                             state.Wd2, state.bd2)
                 _require_finite(l_dc, "l_dc", t)
-                opt_dis.step(state.disc_params(), _finite_grads(dgrads, t))
+                opt_dis.step(_finite_grads(dgrads, t))
             row["l_dc"] = l_dc
             l_fool, dfake = gen_fool_loss(z_code, state.Wd1, state.bd1,
                                           state.Wd2, state.bd2)
             _require_finite(l_fool, "l_gen", t)
             # the W1 half of encoder_backward: the generator step moves W1 only
             dw1 = hidden.T @ spmm(batch.laplacian, dfake)
-            opt_gen.step({"W1": state.W1}, _finite_grads({"W1": dw1}, t))
+            opt_gen.step(_finite_grads({"W1": dw1}, t))
 
         trace.append(row)
 

@@ -91,6 +91,14 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def self_looped_adjacency(n, edges):
+    """The dense 0/1 matrix np.eye(n) with both directions of each edge set."""
+    a = np.eye(n)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
 def adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected Adam as one expression per parameter with fresh
     temporaries; returns step(grads), which updates ``params`` in place."""

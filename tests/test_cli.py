@@ -748,6 +748,44 @@ def test_sweep_refuses_eval_values_before_training(tmp_path, capsys, monkeypatch
     assert not trained and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["edges", "attributes"])
+@pytest.mark.parametrize("value", [0, True, None, 1.5, ["a"]], ids=repr)
+def test_data_path_that_is_not_a_string_is_one_config_line(tmp_path, key, value):
+    """A non-string data path is refused before anything opens it: 0 would
+    read stdin and true would open fd 1. Stdin stays an open pipe, so a
+    read of it would block until the timeout."""
+    data = {"edges": "edges.tsv", "attributes": "attributes.csv", "schema": _SCHEMA, key: value}
+    config = write_config(tmp_path, synth=None, data=data)
+    proc = subprocess.Popen([sys.executable, "-m", "privemb", "train", "--config", str(config)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        _, err = proc.communicate()
+    assert code == 1, err
+    assert err == f"config error: 'data.{key}' must be a path string\n", err
+
+
+@pytest.mark.parametrize("key,values,message", [
+    ("lambda_values", [1.0, -1.0], "lambda must be non-negative"),
+    ("dprime_values", [4, 0], "d_prime must be positive"),
+])
+def test_sweep_resolves_every_run_before_training(tmp_path, capsys, monkeypatch,
+                                                  key, values, message):
+    """A bad swept value after a good one is one config error line, given
+    before any model trains."""
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+    config = write_config(tmp_path, model={"variant": "APGE", "T": 30},
+                          eval={key: values, "sweep_repeats": 2})
+    axis = {"lambda_values": "lambda", "dprime_values": "dprime"}[key]
+    assert main(["sweep", "--config", str(config), "--axis", axis]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not trained
+
+
 def test_data_section_roundtrip(tmp_path):
     """synth writes files that a 'data' config can consume."""
     config = write_config(tmp_path)

@@ -24,7 +24,8 @@ from privemb.evaluation import (
     write_report,
 )
 from privemb.graphcore import AttributeSchema, Graph, InputError, split_edges
-from privemb.numkit import NumericError, Rng, derive_seed, softmax_cross_entropy
+from privemb.numkit import (NumericError, Rng, derive_seed, softmax_cross_entropy,
+                            softmax_cross_entropy_grad)
 from privemb.training import TrainConfig
 
 
@@ -105,7 +106,7 @@ class TestClassifiers:
     def test_softmax_matches_per_step_reference(self, n, m):
         x, y0, q = self.problem(n, m)
         spec = ClassifierSpec(kind="softmax", lr=0.05, steps=40)
-        predict = evaluation._fit_softmax(x, y0, m, spec, seed=0)
+        predict = evaluation._fit_softmax(x, y0 + 1, m, spec, seed=0)
         got = inspect.getclosurevars(predict).nonlocals
         w = np.zeros((x.shape[1], m))
         b = np.zeros(m)
@@ -114,13 +115,13 @@ class TestClassifiers:
             _, g = softmax_cross_entropy(x @ w + b, onehot_of(y0 + 1, m), np.arange(n))
             step({"w": x.T @ g, "b": g.sum(axis=0)})
         assert np.array_equal(got["w"], w) and np.array_equal(got["b"], b)
-        assert np.array_equal(predict(q), np.argmax(q @ w + b, axis=1))
+        assert np.array_equal(predict(q), np.argmax(q @ w + b, axis=1) + 1)
 
     @pytest.mark.parametrize("n,m", [(37, 2), (50, 4)])
     def test_mlp_matches_per_step_reference(self, n, m):
         x, y0, q = self.problem(n, m)
         spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
-        predict = evaluation._fit_mlp(x, y0, m, spec, seed=5)
+        predict = evaluation._fit_mlp(x, y0 + 1, m, spec, seed=5)
         got = inspect.getclosurevars(predict).nonlocals
         rng = Rng(5)
         p = {"w1": rng.glorot(x.shape[1], spec.hidden), "b1": np.zeros(spec.hidden),
@@ -137,27 +138,54 @@ class TestClassifiers:
         for k in p:
             assert np.array_equal(got[k], p[k]), k
         h = np.maximum(q @ p["w1"] + p["b1"], 0.0)
-        assert np.array_equal(predict(q), np.argmax(h @ p["w2"] + p["b2"], axis=1))
+        assert np.array_equal(predict(q), np.argmax(h @ p["w2"] + p["b2"], axis=1) + 1)
 
     def test_mlp_tiles_match_one_tile(self, monkeypatch):
         # tiles of 7 rows over 50: seven full tiles and a short last one
         x, y0, q = self.problem(50, 3)
         spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
-        whole = evaluation._fit_mlp(x, y0, 3, spec, seed=5)
+        whole = evaluation._fit_mlp(x, y0 + 1, 3, spec, seed=5)
         monkeypatch.setattr(evaluation, "_MLP_TILE_ROWS", 7)
-        tiled = evaluation._fit_mlp(x, y0, 3, spec, seed=5)
+        tiled = evaluation._fit_mlp(x, y0 + 1, 3, spec, seed=5)
         want = inspect.getclosurevars(whole).nonlocals
         got = inspect.getclosurevars(tiled).nonlocals
         for k in ("w1", "b1", "w2", "b2"):
             assert_close(got[k], want[k], tol=1e-12)
         assert np.array_equal(tiled(q), whole(q))
 
+    def test_mlp_sums_rows_0_1023_then_the_rest(self):
+        # a fit of 1100 rows is two tiles; the per-tile gradients are summed
+        # in tile order, so the tile size fixes the weights' last bits
+        x, y0, q = self.problem(1100, 3)
+        n, m = x.shape[0], 3
+        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=6, hidden=7)
+        got = inspect.getclosurevars(evaluation._fit_mlp(x, y0 + 1, m, spec, seed=5)).nonlocals
+        rng = Rng(5)
+        p = {"w1": rng.glorot(x.shape[1], spec.hidden), "b1": np.zeros(spec.hidden),
+             "w2": rng.glorot(spec.hidden, m), "b2": np.zeros(m)}
+        step = adam_reference(p, spec.lr)
+        targets = onehot_of(y0 + 1, m)
+        for _ in range(spec.steps):
+            total = None
+            for rows in (slice(0, 1024), slice(1024, n)):
+                x_t = x[rows]
+                pre = x_t @ p["w1"] + p["b1"]
+                h = np.maximum(pre, 0.0)
+                logits = h @ p["w2"] + p["b2"]
+                g = softmax_cross_entropy_grad(logits, targets[rows], np.empty_like(logits), n)
+                dh = (g @ p["w2"].T) * (pre > 0.0)
+                part = {"w1": x_t.T @ dh, "b1": dh.sum(axis=0), "w2": h.T @ g, "b2": g.sum(axis=0)}
+                total = part if total is None else {k: total[k] + part[k] for k in part}
+            step(total)
+        for k in p:
+            assert got[k].tobytes() == p[k].tobytes(), k
+
     def test_mlp_fit_memory_stays_below_one_hidden_array(self):
         n, hidden = 20000, 64
         x = Rng(4).randn(n, 64)
         y0 = np.arange(n) % 2
         spec = ClassifierSpec(kind="mlp", steps=2, hidden=hidden)
-        assert traced_peak(evaluation._fit_mlp, x, y0, 2, spec, 0) < n * hidden * 8
+        assert traced_peak(evaluation._fit_mlp, x, y0 + 1, 2, spec, 0) < n * hidden * 8
 
     def problem(self, n, m):
         rng = Rng(n + m)

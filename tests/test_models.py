@@ -7,12 +7,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import assert_close, traced_peak
+from conftest import assert_close, self_looped_adjacency, traced_peak
 from hypothesis import given, strategies as st
 
 from privemb import models
 from privemb.datagen import SynthParams, synth_graph
-from privemb.graphcore import AttributeSchema, Graph, adjacency_with_self_loops, normalize_adjacency
+from privemb.graphcore import AttributeSchema, Graph, normalize_adjacency
 from privemb.models import (
     Batch,
     attacker_loss,
@@ -412,7 +412,7 @@ def test_encoder_matches_two_array_cache_reference(n, density, width, hidden, na
     # pre-activations into whole columns
     rng = np.random.default_rng(seed)
     edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
-    lap = normalize_adjacency(Graph(n=n, edges=edges, attributes={}))
+    lap = normalize_adjacency(n, edges)
     lx = spmm(lap, rng.standard_normal((n, width)))
     w0 = rng.standard_normal((width, hidden))
     w0.flat[rng.integers(0, w0.size, size=nans)] = np.nan
@@ -433,7 +433,7 @@ def test_encoder_dw0_from_cached_lx_matches_unfactored(n, density, width, hidden
     # products round apart by far less than the scale |X|.T |L| |dpre|
     rng = np.random.default_rng(seed)
     edges = np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
-    lap = normalize_adjacency(Graph(n=n, edges=edges, attributes={}))
+    lap = normalize_adjacency(n, edges)
     assert (lap != lap.T).nnz == 0
     x = rng.standard_normal((n, width))
     w0 = rng.standard_normal((width, hidden))
@@ -494,7 +494,7 @@ def _joined_blocks_negatives(batch, count, rng):
 
 
 def _target_batch(n, edges):
-    targets = adjacency_with_self_loops(n, np.asarray(edges, dtype=np.int64))
+    targets = sp.csr_matrix(self_looped_adjacency(n, edges))
     return Batch(laplacian=targets, lx=np.zeros((n, 1)), utility={},
                  privacy_onehot=np.zeros((n, 2)), privacy_mask=np.arange(0))
 
@@ -514,7 +514,7 @@ def test_link_targets_are_the_self_looped_training_adjacency(n, density, keep, s
     lap = prepare_batch(g, schema, "GAE", train_edges).laplacian
     keys = np.repeat(np.arange(n), np.diff(lap.indptr)) * n + lap.indices
     assert np.all(np.diff(keys) > 0)
-    targets = adjacency_with_self_loops(n, train_edges).toarray()
+    targets = self_looped_adjacency(n, train_edges)
     assert np.array_equal(keys, np.flatnonzero(targets))
 
 

@@ -213,7 +213,7 @@ def test_adam_in_place_matches_expression():
     step = adam_reference(ref, lr=0.03)
     for _ in range(5):
         grads = {"w": rng.randn(5, 3) * 1e-3, "b": rng.randn(1, 3).ravel() * 1e4}
-        opt.step(p, grads)
+        opt.step(grads)
         step(grads)
         for k in p:
             assert np.array_equal(p[k], ref[k])
@@ -223,7 +223,7 @@ def test_adam_one_step_hand_trace():
     # theta=0, g=1, lr=1e-3: after one step theta = -lr * 1/(1+eps)
     p = {"w": np.zeros(1)}
     opt = Adam(p, lr=1e-3)
-    opt.step(p, {"w": np.ones(1)})
+    opt.step({"w": np.ones(1)})
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
     assert_close(p["w"], [expected], tol=1e-15)
 
@@ -231,7 +231,7 @@ def test_adam_one_step_hand_trace():
 def test_adam_zero_gradient_is_noop():
     p = {"w": np.full(3, 7.0)}
     opt = Adam(p, lr=0.1)
-    opt.step(p, {"w": np.zeros(3)})
+    opt.step({"w": np.zeros(3)})
     assert_close(p["w"], np.full(3, 7.0))
 
 
@@ -241,7 +241,7 @@ def test_adam_deterministic():
         p = {"w": rng.randn(4, 4)}
         opt = Adam(p, lr=0.01)
         for i in range(10):
-            opt.step(p, {"w": p["w"] * 0.5 + i})
+            opt.step({"w": p["w"] * 0.5 + i})
         return p["w"]
 
     a, b = run(), run()
