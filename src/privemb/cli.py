@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -170,6 +172,20 @@ def _out_dir(conf: dict, args, *outputs) -> Path:
     return out
 
 
+@contextmanager
+def _staged(out: Path, *names):
+    """Temporary paths in ``out`` for the files ``names``, each moved onto
+    its name only if the block succeeds and removed if it fails."""
+    temps = {name: out / f"{name}.tmp" for name in names}
+    try:
+        yield temps
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def _echo_config(conf: dict, out: Path) -> None:
     with open(out / "config_resolved.json", "w", encoding="utf-8") as fh:
         json.dump(conf, fh, indent=2, sort_keys=True)
@@ -201,9 +217,10 @@ def cmd_train(conf: dict, args) -> int:
     g, schema = load_dataset(conf)
     cfg = build_train_config(conf)
     result = train(g, schema, cfg)
-    export_embeddings(result.Z, out / "embeddings.csv")
-    export_trace(result.trace, out / "loss_trace.csv")
-    _echo_config(conf, out)
+    with _staged(out, "embeddings.csv", "loss_trace.csv") as temps:
+        export_embeddings(result.Z, temps["embeddings.csv"])
+        export_trace(result.trace, temps["loss_trace.csv"])
+        _echo_config(conf, out)
     last = result.trace[-1]
     parts = ", ".join(f"{k}={last[k]:.4f}" for k in TRACE_COLUMNS[1:] if last[k] is not None)
     print(f"{cfg.variant}: {cfg.iterations} iterations in {result.wall_time:.1f}s ({parts})")
@@ -227,8 +244,9 @@ def cmd_audit(conf: dict, args) -> int:
     records = audit(z, g, schema, _classifier_specs(conf), AUDIT_LABELS[args.command], cfg,
                     repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
                     utility_fraction=conf["eval"]["utility_fraction"])
-    write_report(records, out / "report.csv")
-    _echo_config(conf, out)
+    with _staged(out, "report.csv") as temps:
+        write_report(records, temps["report.csv"])
+        _echo_config(conf, out)
     for r in records:
         spread = "" if r.task == "link" else f" +/- {r.std:.4f}"
         print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f}{spread}")
@@ -250,8 +268,9 @@ def cmd_sweep(conf: dict, args) -> int:
                     fraction=conf["eval"]["fraction"],
                     utility_fraction=conf["eval"]["utility_fraction"],
                     seed=derive_seed(conf["seed"], f"sweep/{axis}"))
-    write_report(records, out / "report.csv")
-    _echo_config(conf, out)
+    with _staged(out, "report.csv") as temps:
+        write_report(records, temps["report.csv"])
+        _echo_config(conf, out)
     print(f"wrote {out / 'report.csv'} ({len(records)} rows)")
     return 0
 

@@ -224,6 +224,147 @@ def write_rows(fh, row: str, table: np.ndarray) -> None:
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+# values per block of the float writer, whose arrays take about 250 bytes
+# a value
+_FLOAT_VALUES = 8192
+
+# The float writer lays each value out as a 24-byte cell, three
+# little-endian words: the separator that precedes the value in column 0,
+# the value's '%.17g' text right-aligned to column 23, and NUL bytes, which
+# are deleted, elsewhere. With N the 17 significant digits and k the decimal
+# exponent, X holds d0 in column 7 and the other 16 digits, as 4-digit
+# groups, in columns 8-23; Y is X one column to the left. A cell is
+# (X & MX) | (Y & MY) | P, with MX, MY and P picked by (sign, k, trailing
+# zeros of N): for k < 0 the text is "0." and -k-1 zeros before X's digits,
+# for k >= 0 Y gives the k+1 integer digits and a '.' follows them unless
+# the fraction is all zeros. The last kind is a fallback cell, "%.17g".
+
+def _digit_groups():
+    """The text of 0000-9999 as 4-byte words, and its trailing zeros."""
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    words = (digits + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype("<u8")
+    return words, (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+
+
+def _float_layouts():
+    """MX, MY and P for each (sign, k in -4..15, trailing zeros 0..16),
+    then for a fallback cell: 9 rows of words, one column per cell kind."""
+    rows = []
+    for sign in (b"", b"-"):
+        for k in range(-4, 16):
+            for zeros in range(17):
+                mx, my, p = bytearray(24), bytearray(24), bytearray(24)
+                if k < 0:
+                    lead = sign + b"0." + b"0" * (-k - 1)
+                    p[7 - len(lead):7] = lead
+                    mx[7:24 - zeros] = b"\xff" * (17 - zeros)
+                else:
+                    p[6 - len(sign):6] = sign
+                    my[6:7 + k] = b"\xff" * (k + 1)
+                    if zeros < 16 - k:
+                        p[7 + k] = ord(".")
+                        mx[8 + k:24 - zeros] = b"\xff" * (16 - k - zeros)
+                mx[0] = 0xFF
+                rows.append(mx + my + p)
+    rows.append(b"\xff" + bytes(66) + b"%.17g")
+    return np.frombuffer(b"".join(rows), "<u8").reshape(len(rows), 9).T.copy()
+
+
+_GROUPS, _GROUP_ZEROS = _digit_groups()
+_LAYOUTS = _float_layouts()
+_LEAD = (np.arange(10, dtype="<u8") + ord("0")) << 56
+
+
+def _split(a):
+    """Veltkamp's split by 2**27 + 1: hi + lo == a, each half of 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**p is an exact double for p <= 22
+_POW10 = np.array([float(10**p) for p in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits17(a, k):
+    """a * 10**(16 - k) rounded half to even, exactly. Dekker's two-product
+    gives y + e == a * 10**p with y the rounded product; for y >= 2**53, y
+    is an even integer and e the exact remainder, so the digits are
+    y + rint(e)."""
+    p = 16 - k
+    b, bh, bl = _POW10[p], _POW10_HI[p], _POW10_LO[p]
+    ah, al = _split(a)
+    y = a * b
+    e = ((ah * bh - y) + ah * bl + al * bh) + al * bl
+    return y.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _fallback(text: bytes, values: np.ndarray) -> bytes:
+    """Fill the "%.17g" cells of ``text`` with ``values``, in order."""
+    return text % tuple(values.tolist())
+
+
+def _float_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
+    """The '%.17g' texts of a 1-D float64 block, each after its separator.
+    Values with 1e-4 <= |x| < 1e16 have k in [-4, 15] and print without an
+    exponent; they are formatted from their digits, the rest by '%'."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # a stand-in keeps log10 and the int casts free of warnings
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n = _digits17(a, k)
+    # next to a power of ten log10 can miss by one: N then has 16 or 18 digits
+    off = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        k[fix] += off[fix]
+        n[fix] = _digits17(a[fix], k[fix])
+    hi = n // 10**8
+    lo = n - hi * 10**8
+    d0 = hi // 10**8
+    mid = hi - d0 * 10**8
+    g1, g3 = mid // 10**4, lo // 10**4
+    g2, g4 = mid - g1 * 10**4, lo - g3 * 10**4
+    zeros = _GROUP_ZEROS[g4]
+    rest = np.flatnonzero(g4 == 0)
+    for g in (g3, g2, g1):
+        zeros[rest] += _GROUP_ZEROS[g[rest]]
+        rest = rest[g[rest] == 0]
+    code = ((v < 0) * 20 + k + 4) * 17 + zeros
+    code[~fast] = _LAYOUTS.shape[1] - 1
+    x = [seps | _LEAD[d0], _GROUPS[g1] | _GROUPS[g2] << 32, _GROUPS[g3] | _GROUPS[g4] << 32]
+    cells = np.empty((len(v), 3), "<u8")
+    for w in range(3):
+        y = x[w] >> 8
+        if w < 2:
+            y |= x[w + 1] << 56
+        y &= _LAYOUTS[3 + w].take(code)
+        x[w] &= _LAYOUTS[w].take(code)
+        x[w] |= y
+        x[w] |= _LAYOUTS[6 + w].take(code)
+        cells[:, w] = x[w]
+    text = cells.tobytes().translate(None, b"\0")
+    return text if fast.all() else _fallback(text, v[~fast])
+
+
+def write_floats(fh, table: np.ndarray) -> None:
+    """Write a 2-D float64 table with at least one column to a binary file:
+    each row the '%.17g' texts of its values joined by ',' and ended by a
+    newline, a block of rows at a time."""
+    rows, cols = table.shape
+    step = max(1, _FLOAT_VALUES // cols)
+    seps = np.tile(np.array([ord("\n")] + [ord(",")] * (cols - 1), "<u8"), step)
+    for s in range(0, rows, step):
+        block = table[s:s + step].ravel()
+        text = _float_cells(block, seps[:block.size])
+        # each row opens with the newline that ends the row before it
+        fh.write(memoryview(text)[1:] if s == 0 else text)
+    if rows:
+        fh.write(b"\n")
+
+
 def save_graph(g: Graph, schema: AttributeSchema, edges_path, attributes_path) -> None:
     """Write a graph in the formats ``load_graph`` reads, with dense ids."""
     with open(edges_path, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from .graphcore import (
     normalize_adjacency,
     onehot_labels,
     split_edges,
-    write_rows,
+    write_floats,
 )
 from .models import (
     VARIANT_SPECS,
@@ -286,13 +286,13 @@ def train(g: Graph, schema: AttributeSchema, cfg: TrainConfig) -> EmbeddingResul
 
 
 def export_embeddings(z: np.ndarray, path) -> None:
-    """Write an (n, d) float64 embedding as CSV with 17 significant digits,
-    enough for a bit-exact float64 round-trip, a block of rows at a time."""
-    header = ",".join(f"z_{j}" for j in range(z.shape[1]))
-    row = ",".join(["%.17g"] * z.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        write_rows(fh, row, z)
+    """Write an (n, d) float64 embedding as CSV, each value as '%.17g' would
+    print it: 17 significant digits, enough for a bit-exact float64
+    round-trip. The file is binary, so its lines end in LF everywhere."""
+    header = ",".join(f"z_{j}" for j in range(z.shape[1])) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        write_floats(fh, z)
 
 
 def load_embeddings(path) -> np.ndarray:

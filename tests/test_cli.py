@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privemb import training
+from privemb import graphcore, training
 from privemb.cli import load_config, load_dataset, main, resolve_config
 from privemb.graphcore import AttributeSchema, load_graph, split_edges
 from privemb.numkit import derive_seed
@@ -464,6 +464,26 @@ class TestExitCodes:
         assert main(["attack", "--config", str(config), "--embeddings", str(one_row)]) == 2
         assert not (out / "report.csv").exists()
         assert capsys.readouterr().err.count("\n") == 2
+
+    def test_write_that_fails_midway_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """A train whose embedding write fails after its first block exits 2
+        and leaves neither the embeddings nor a temporary file."""
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        blocks = []
+
+        def full_after_one(v, seps, _cells=graphcore._float_cells):
+            if blocks:
+                raise OSError(28, "No space left on device")
+            blocks.append(v.size)
+            return _cells(v, seps)
+
+        monkeypatch.setattr(graphcore, "_FLOAT_VALUES", 64)
+        monkeypatch.setattr(graphcore, "_float_cells", full_after_one)
+        assert main(["train", "--config", str(config)]) == 2
+        assert blocks == [64]
+        assert capsys.readouterr().err == "input error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in out.iterdir()) == []
 
 
 def _data_config(tmp_path, edges, rows, model=None, eval_section=None,

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 import tempfile
@@ -555,3 +556,62 @@ def test_save_graph_writes_the_per_line_bytes(ids, dense, data, names, values):
         _per_line_writer(g, schema, tmp / "e_ref.tsv", tmp / "a_ref.csv")
         assert (tmp / "e.tsv").read_bytes() == (tmp / "e_ref.tsv").read_bytes()
         assert (tmp / "a.csv").read_bytes() == (tmp / "a_ref.csv").read_bytes()
+
+
+# ------------------------------------------------------------ float writer
+
+
+def _percent_rows(table):
+    """The reference bytes: each row's values as '%.17g', joined by ','."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()).encode()
+
+
+def _written(table):
+    fh = io.BytesIO()
+    graphcore.write_floats(fh, table)
+    return fh.getvalue()
+
+
+_DECADES = np.array([float(10**p) for p in range(16)] + [10.0**p for p in range(-4, 0)])
+
+# cells the writer formats from their digits, and those it leaves to '%'
+_FLOAT_TABLE = {
+    "decades and neighbours": np.concatenate(
+        [_DECADES, np.nextafter(_DECADES, 0), np.nextafter(_DECADES, np.inf)]),
+    "ends of the digit range": [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16],
+    "17-digit ties": [2251799813685247.75, 4503599627370495.5],
+    "zeros and subnormals": [0.0, 5e-324, 4.9406564584124654e-320, 2.2250738585072009e-308],
+    "non-finite": [np.nan, np.inf],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_TABLE))
+def test_float_writer_matches_percent_on_the_awkward_values(name):
+    values = np.array(_FLOAT_TABLE[name], dtype=np.float64)
+    column = np.concatenate([values, -values])[:, None]
+    got, want = _written(column).splitlines(), _percent_rows(column).splitlines()
+    assert got == want, [(g, w) for g, w in zip(got, want) if g != w]
+
+
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48),
+       cols=st.sampled_from([1, 2, 3]))
+def test_float_writer_matches_percent_on_any_bits(bits, cols):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    table = values[:len(values) // cols * cols].reshape(-1, cols)
+    assert _written(table) == _percent_rows(table)
+
+
+def test_float_writer_formats_its_range_without_percent(monkeypatch):
+    # every cell in [1e-4, 1e16), every exponent k in -4..15 and both signs
+    rng = Rng(5)
+    table = 10.0 ** rng.uniform(-4, 16, size=(300, 7))
+    table[:, 1::2] *= -1
+    table[0, :4] = [1e-4, -1e-4, np.nextafter(1e16, 0), -np.nextafter(1e16, 0)]
+    # trailing zeros, down to a value that prints with no '.'
+    table[1] = [1.5, -2.25, 100.0, 1e15, 0.001, 123456.0, -7.0]
+
+    def refuse(text, values):
+        raise AssertionError(f"{values.size} cells went to the '%' fallback")
+
+    monkeypatch.setattr(graphcore, "_fallback", refuse)
+    assert _written(table) == _percent_rows(table)

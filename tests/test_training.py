@@ -380,7 +380,7 @@ class TestExport:
         # blocks of rows, the last of them short unless the block divides rows
         z = np.array(values[:rows * cols]).reshape(rows, cols)
         path = tmp_path_factory.getbasetemp() / "blocks.csv"
-        with mock.patch.object(graphcore, "_WRITE_VALUES", block * cols):
+        with mock.patch.object(graphcore, "_FLOAT_VALUES", block * cols):
             export_embeddings(z, path)
         header = ",".join(f"z_{j}" for j in range(cols))
         row = ",".join(["%.17g"] * cols) + "\n"
