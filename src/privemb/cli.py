@@ -161,35 +161,29 @@ def load_dataset(conf: dict):
     raise ConfigError("config needs a 'data' or 'synth' section")
 
 
-def _out_dir(conf: dict, args, *outputs) -> Path:
-    """The output folder, made if missing, without the files named
-    ``outputs`` that an earlier run left there: a command that fails
-    leaves none of them behind."""
+@contextmanager
+def _outputs(conf: dict, args, *names):
+    """The output folder and a temporary path in it for each of the files
+    ``names``, whose copies from an earlier run are removed first (not
+    config_resolved.json: it may be the config being run). If the block
+    succeeds, its files and config_resolved.json are moved onto their
+    names; if it fails, none of them is left behind."""
     out = Path(args.out) if args.out else Path(conf["output"])
     out.mkdir(parents=True, exist_ok=True)
-    for name in outputs:
+    for name in names:
         (out / name).unlink(missing_ok=True)
-    return out
-
-
-@contextmanager
-def _staged(out: Path, *names):
-    """Temporary paths in ``out`` for the files ``names``, each moved onto
-    its name only if the block succeeds and removed if it fails."""
-    temps = {name: out / f"{name}.tmp" for name in names}
+    temps = {name: out / f"{name}.tmp" for name in (*names, "config_resolved.json")}
     try:
-        yield temps
+        yield (out, *(temps[name] for name in names))
+        with open(temps["config_resolved.json"], "w", encoding="utf-8") as fh:
+            json.dump(conf, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         for name, temp in temps.items():
             os.replace(temp, out / name)
-    finally:
+    except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
-
-
-def _echo_config(conf: dict, out: Path) -> None:
-    with open(out / "config_resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(conf, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        raise
 
 
 def _classifier_specs(conf: dict):
@@ -203,24 +197,21 @@ def _classifier_specs(conf: dict):
 def cmd_synth(conf: dict, args) -> int:
     if "synth" not in conf:
         raise ConfigError("synth command needs a 'synth' section")
-    out = _out_dir(conf, args, "edges.tsv", "attributes.csv")
-    g, schema = load_dataset(conf)
-    save_graph(g, schema, out / "edges.tsv", out / "attributes.csv")
-    _echo_config(conf, out)
+    with _outputs(conf, args, "edges.tsv", "attributes.csv") as (out, edges, attributes):
+        g, schema = load_dataset(conf)
+        save_graph(g, schema, edges, attributes)
     print(f"wrote {out / 'edges.tsv'} ({len(g.edges)} edges) and "
           f"{out / 'attributes.csv'} ({g.n} nodes)")
     return 0
 
 
 def cmd_train(conf: dict, args) -> int:
-    out = _out_dir(conf, args, "embeddings.csv", "loss_trace.csv")
-    g, schema = load_dataset(conf)
-    cfg = build_train_config(conf)
-    result = train(g, schema, cfg)
-    with _staged(out, "embeddings.csv", "loss_trace.csv") as temps:
-        export_embeddings(result.Z, temps["embeddings.csv"])
-        export_trace(result.trace, temps["loss_trace.csv"])
-        _echo_config(conf, out)
+    with _outputs(conf, args, "embeddings.csv", "loss_trace.csv") as (out, embeddings, trace):
+        g, schema = load_dataset(conf)
+        cfg = build_train_config(conf)
+        result = train(g, schema, cfg)
+        export_embeddings(result.Z, embeddings)
+        export_trace(result.trace, trace)
     last = result.trace[-1]
     parts = ", ".join(f"{k}={last[k]:.4f}" for k in TRACE_COLUMNS[1:] if last[k] is not None)
     print(f"{cfg.variant}: {cfg.iterations} iterations in {result.wall_time:.1f}s ({parts})")
@@ -235,18 +226,16 @@ AUDIT_LABELS = {"attack": {"privacy": "eval/attack"},
 
 
 def cmd_audit(conf: dict, args) -> int:
-    out = _out_dir(conf, args, "report.csv")
-    g, schema = load_dataset(conf)
-    cfg = build_train_config(conf)
-    z = load_embeddings(args.embeddings)
-    if z.shape[0] != g.n:
-        raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
-    records = audit(z, g, schema, _classifier_specs(conf), AUDIT_LABELS[args.command], cfg,
-                    repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
-                    utility_fraction=conf["eval"]["utility_fraction"])
-    with _staged(out, "report.csv") as temps:
-        write_report(records, temps["report.csv"])
-        _echo_config(conf, out)
+    with _outputs(conf, args, "report.csv") as (out, report):
+        g, schema = load_dataset(conf)
+        cfg = build_train_config(conf)
+        z = load_embeddings(args.embeddings)
+        if z.shape[0] != g.n:
+            raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
+        records = audit(z, g, schema, _classifier_specs(conf), AUDIT_LABELS[args.command], cfg,
+                        repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
+                        utility_fraction=conf["eval"]["utility_fraction"])
+        write_report(records, report)
     for r in records:
         spread = "" if r.task == "link" else f" +/- {r.std:.4f}"
         print(f"{r.task} {r.classifier} {r.metric}: {r.mean:.4f}{spread}")
@@ -254,23 +243,21 @@ def cmd_audit(conf: dict, args) -> int:
 
 
 def cmd_sweep(conf: dict, args) -> int:
-    out = _out_dir(conf, args, "report.csv")
-    g, schema = load_dataset(conf)
-    cfg = build_train_config(conf)
-    axis = args.axis
-    values = {"lambda": conf["eval"]["lambda_values"],
-              "dprime": conf["eval"]["dprime_values"],
-              "fraction": conf["eval"]["fractions"]}[axis]
-    if not values:
-        raise ConfigError(f"no sweep values configured for axis '{axis}'")
-    records = sweep(axis, values, g, schema, cfg, _classifier_specs(conf),
-                    repeats=conf["eval"]["sweep_repeats"],
-                    fraction=conf["eval"]["fraction"],
-                    utility_fraction=conf["eval"]["utility_fraction"],
-                    seed=derive_seed(conf["seed"], f"sweep/{axis}"))
-    with _staged(out, "report.csv") as temps:
-        write_report(records, temps["report.csv"])
-        _echo_config(conf, out)
+    with _outputs(conf, args, "report.csv") as (out, report):
+        g, schema = load_dataset(conf)
+        cfg = build_train_config(conf)
+        axis = args.axis
+        values = {"lambda": conf["eval"]["lambda_values"],
+                  "dprime": conf["eval"]["dprime_values"],
+                  "fraction": conf["eval"]["fractions"]}[axis]
+        if not values:
+            raise ConfigError(f"no sweep values configured for axis '{axis}'")
+        records = sweep(axis, values, g, schema, cfg, _classifier_specs(conf),
+                        repeats=conf["eval"]["sweep_repeats"],
+                        fraction=conf["eval"]["fraction"],
+                        utility_fraction=conf["eval"]["utility_fraction"],
+                        seed=derive_seed(conf["seed"], f"sweep/{axis}"))
+        write_report(records, report)
     print(f"wrote {out / 'report.csv'} ({len(records)} rows)")
     return 0
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import training
-from .graphcore import (EdgeSplit, InputError, canonical_edges, onehot, sample_non_edges,
-                        split_nodes)
+from .graphcore import EdgeSplit, InputError, onehot, sample_non_edges, split_nodes
 from .numkit import Adam, NumericError, Rng, derive_seed, softmax_cross_entropy_grad
 
 REPORT_COLUMNS = ("method", "task", "classifier", "fraction", "metric",
@@ -350,7 +349,8 @@ def link_eval(z, split: EdgeSplit, spec: ClassifierSpec, seed: int = 0,
     if need > training.LINK_MEMORY_BUDGET:
         raise InputError(f"the link audit's pair table needs {need} bytes, over the "
                          f"{training.LINK_MEMORY_BUDGET}-byte budget")
-    taken = canonical_edges(np.vstack([train_pos, held_pos, held_neg]), n)
+    # the split's three sides are disjoint u < v pairs
+    taken = np.vstack([train_pos, held_pos, held_neg])
     free = n * (n - 1) // 2 - len(taken)
     if free < len(train_pos):
         raise InputError(f"link evaluation needs {len(train_pos)} training non-edges "
@@ -413,7 +413,6 @@ def sweep(axis: str, values, g, schema, base_cfg, specs, *,
         # one record per task and metric, over the runs
         for rows in zip(*runs):
             means = [row.mean for row in rows]
-            frac = 1.0 - base_cfg.edge_holdout if rows[0].task == "link" else rows[0].fraction
-            records.append(replace(rows[0], fraction=frac, mean=float(np.mean(means)),
+            records.append(replace(rows[0], mean=float(np.mean(means)),
                                    std=float(np.std(means)), repeats=repeats))
     return records

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import SynthParams, synth_graph
+from .graphcore import onehot
 from .models import (
     VARIANT_SPECS,
     VARIANTS,
@@ -79,12 +80,10 @@ def _kernel_cases(seed):
     cases.append(("kernel/bce_with_logits", bce_case, {"x": logits.copy()}))
 
     ce_logits = rng.randn(6, 4)
-    codes = rng.integers(0, 4, size=6)
-    onehot = np.zeros((6, 4))
-    onehot[np.arange(6), codes] = 1.0
+    ce_targets = onehot(rng.integers(0, 4, size=6) + 1, 4)
     mask = np.array([0, 2, 3, 5])
     def ce_case(p):
-        loss, grad = softmax_cross_entropy(p["x"], onehot, mask)
+        loss, grad = softmax_cross_entropy(p["x"], ce_targets, mask)
         return loss, {"x": grad}
 
     cases.append(("kernel/softmax_cross_entropy", ce_case, {"x": ce_logits.copy()}))

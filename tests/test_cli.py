@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privemb import graphcore, training
+from privemb import cli, graphcore, training
 from privemb.cli import load_config, load_dataset, main, resolve_config
 from privemb.graphcore import AttributeSchema, load_graph, split_edges
 from privemb.numkit import derive_seed
@@ -222,7 +222,14 @@ class TestCommands:
         with open(tmp_path / "out" / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         fractions = {row["task"]: row["fraction"] for row in rows}
-        assert fractions == {"privacy": "0.6", "utility:utility": "0.4", "link": "0.85"}
+        # the link row's fraction is the one eval-link writes for the split
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["eval-link", "--config", str(config), "--out", str(tmp_path / "link"),
+                     "--embeddings", str(tmp_path / "out" / "embeddings.csv")]) == 0
+        with open(tmp_path / "link" / "report.csv", newline="") as fh:
+            link = {row["fraction"] for row in csv.DictReader(fh)}
+        assert link == {fractions.pop("link")}
+        assert fractions == {"privacy": "0.6", "utility:utility": "0.4"}
 
     def test_sweep_audits_every_classifier(self, tmp_path):
         """Each classifier's rows of a sweep are the rows of a sweep with it alone."""
@@ -484,6 +491,50 @@ class TestExitCodes:
         assert blocks == [64]
         assert capsys.readouterr().err == "input error: [Errno 28] No space left on device\n"
         assert sorted(p.name for p in out.iterdir()) == []
+
+    # each writing command's last writer, and the call of it that fails
+    LAST_WRITERS = {"synth": (graphcore, "write_rows", 2),  # the attribute rows
+                    "train": (cli, "export_trace", 1), "attack": (cli, "write_report", 1),
+                    "eval-attr": (cli, "write_report", 1), "eval-link": (cli, "write_report", 1),
+                    "sweep": (cli, "write_report", 1)}
+
+    @pytest.mark.parametrize("command", LAST_WRITERS)
+    def test_last_write_that_fails_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        """A command whose last write fails exits 2 with one line and leaves
+        none of its outputs and no temporary file; the config_resolved.json
+        of the run before it is left as it was."""
+        module, writer, failing_call = self.LAST_WRITERS[command]
+        out = tmp_path / "out"
+        extra = ["--axis", "fraction"] if command == "sweep" else []
+        if command in cli.AUDIT_LABELS:
+            trained = tmp_path / "trained"
+            assert main(["train", "--config", str(write_config(tmp_path)),
+                         "--out", str(trained)]) == 0
+            extra = ["--embeddings", str(trained / "embeddings.csv")]
+
+        def run(seed):
+            config = write_config(tmp_path, f"seed{seed}.json", seed=seed,
+                                  eval={"fractions": [0.5], "sweep_repeats": 1})
+            return main([command, "--config", str(config), "--out", str(out), *extra])
+
+        assert run(3) == 0
+        earlier = (out / "config_resolved.json").read_bytes()
+        capsys.readouterr()
+        real, calls = getattr(module, writer), []
+
+        def write_then_fail(*args):
+            real(*args)
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(module, writer, write_then_fail)
+        assert run(4) == 2
+        assert len(calls) == failing_call
+        assert capsys.readouterr().err == "input error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in out.iterdir()) == ["config_resolved.json"]
+        assert (out / "config_resolved.json").read_bytes() == earlier
 
 
 def _data_config(tmp_path, edges, rows, model=None, eval_section=None,

@@ -38,11 +38,11 @@ DIGESTS = {
     "eval-link/report.csv":
         "fc91dea982d0dc7cf23446d132197945adc2608a1a8e5df019ff3aeb1417f67b",
     "sweep-dprime/report.csv":
-        "776c09e7cd9677d6824e4cfbfef639dfeaa04aebcc9ed71902fdf0df942dfc7c",
+        "5bb65b714f80d46243e686d67375ff7bac0c62e8a5bb4c74c88e45ee5e841a1a",
     "sweep-fraction/report.csv":
         "66a14b84f702d5df08176ed046be84f5e7b46d46288dbbdfc0cb824e34d84efa",
     "sweep-lambda/report.csv":
-        "107a521c8b86c6d7a5a15c0e9130f233d5d439302448f5d36cc84b8342976157",
+        "c94968196c0bdcbf2f78a7148f8a682ccfc9886569e2d933cbbdc2a035f12502",
 }
 
 SYNTH = {"n": 200, "private_classes": 2, "utility_classes": 3, "p_in": 0.08, "p_out": 0.01}
