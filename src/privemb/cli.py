@@ -155,7 +155,7 @@ def load_dataset(conf: dict):
         s = conf["synth"]
         try:
             params = SynthParams(seed=derive_seed(conf["seed"], "synth"), **s)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad synth parameters: {e}")
         return synth_graph(params)
     raise ConfigError("config needs a 'data' or 'synth' section")
@@ -207,8 +207,8 @@ def cmd_synth(conf: dict, args) -> int:
 
 def cmd_train(conf: dict, args) -> int:
     with _outputs(conf, args, "embeddings.csv", "loss_trace.csv") as (out, embeddings, trace):
-        g, schema = load_dataset(conf)
         cfg = build_train_config(conf)
+        g, schema = load_dataset(conf)
         result = train(g, schema, cfg)
         export_embeddings(result.Z, embeddings)
         export_trace(result.trace, trace)
@@ -227,12 +227,13 @@ AUDIT_LABELS = {"attack": {"privacy": "eval/attack"},
 
 def cmd_audit(conf: dict, args) -> int:
     with _outputs(conf, args, "report.csv") as (out, report):
-        g, schema = load_dataset(conf)
         cfg = build_train_config(conf)
+        specs = _classifier_specs(conf)
+        g, schema = load_dataset(conf)
         z = load_embeddings(args.embeddings)
         if z.shape[0] != g.n:
             raise InputError(f"embeddings have {z.shape[0]} rows for a {g.n}-node graph")
-        records = audit(z, g, schema, _classifier_specs(conf), AUDIT_LABELS[args.command], cfg,
+        records = audit(z, g, schema, specs, AUDIT_LABELS[args.command], cfg,
                         repeats=conf["eval"]["repeats"], fraction=conf["eval"]["fraction"],
                         utility_fraction=conf["eval"]["utility_fraction"])
         write_report(records, report)
@@ -244,15 +245,16 @@ def cmd_audit(conf: dict, args) -> int:
 
 def cmd_sweep(conf: dict, args) -> int:
     with _outputs(conf, args, "report.csv") as (out, report):
-        g, schema = load_dataset(conf)
         cfg = build_train_config(conf)
+        specs = _classifier_specs(conf)
         axis = args.axis
         values = {"lambda": conf["eval"]["lambda_values"],
                   "dprime": conf["eval"]["dprime_values"],
                   "fraction": conf["eval"]["fractions"]}[axis]
         if not values:
             raise ConfigError(f"no sweep values configured for axis '{axis}'")
-        records = sweep(axis, values, g, schema, cfg, _classifier_specs(conf),
+        g, schema = load_dataset(conf)
+        records = sweep(axis, values, g, schema, cfg, specs,
                         repeats=conf["eval"]["sweep_repeats"],
                         fraction=conf["eval"]["fraction"],
                         utility_fraction=conf["eval"]["utility_fraction"],

@@ -81,7 +81,7 @@ def synth_graph(params: SynthParams):
         rows = np.arange(s, min(s + step, n - 1))
         # row i holds the pairs (i, i+1..n-1); starts[r] is row s+r's offset
         starts = np.concatenate([[0], np.cumsum(n - 1 - rows)])
-        u = rng_edges.random(int(starts[-1]))
+        u = rng_edges.random(starts[-1])
         flat = np.flatnonzero(u < params.p_in)
         r = np.searchsorted(starts, flat, side="right") - 1
         iu = rows[r]
@@ -94,13 +94,13 @@ def synth_graph(params: SynthParams):
     derived = ((private - 1) % m_u) + 1
     use_derived = rng_util.random(n) < params.rho
     uniform = rng_util.integers(1, m_u + 1, size=n)
-    utility = np.where(use_derived, derived, uniform).astype(np.int64)
+    utility = np.where(use_derived, derived, uniform)
 
     rng_feat = Rng(derive_seed(params.seed, "synth/feature"))
     flips = rng_feat.random(n) < params.flip_rate
     offsets = rng_feat.integers(1, m_u, size=n)
     flipped = ((utility - 1 + offsets) % m_u) + 1
-    feature = np.where(flips, flipped, utility).astype(np.int64)
+    feature = np.where(flips, flipped, utility)
 
     g = Graph(n=n, edges=edges,
               attributes={"private": private, "utility": utility, "feature": feature})

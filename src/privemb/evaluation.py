@@ -397,7 +397,7 @@ def sweep(axis: str, values, g, schema, base_cfg, specs, *,
         return [row for f in values
                 for row in audit(z, g, schema, specs, {"privacy": f"fraction/{f:g}"},
                                  replace(base_cfg, seed=seed), repeats=repeats,
-                                 fraction=float(f), utility_fraction=utility_fraction)]
+                                 fraction=f, utility_fraction=utility_fraction)]
 
     key = {"lambda": "lam", "dprime": "d_prime"}[axis]
     labels = {"privacy": "attack", "utility": "utility", "link": "link"}

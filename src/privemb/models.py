@@ -436,7 +436,7 @@ def attacker_loss(z, wa, ba, onehot, mask):
 def obf_loss(l_recon: float, l_att, lam: float) -> float:
     """Obfuscator objective: reconstruction minus lam times attacker loss;
     ``l_att`` may be None only at lam 0."""
-    return float(l_recon) - (lam * float(l_att) if lam else 0.0)
+    return l_recon - (lam * l_att if lam else 0.0)
 
 
 def release_from_code(state: ModelState, z_code) -> np.ndarray:
@@ -482,14 +482,14 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
 
     l_link, dz_in = link_loss(z_in, batch, draw_negatives() if draw_negatives else None)
     grads = {}
-    attr_values = []
+    l_attr = 0.0
     for name, (onehot, mask) in batch.utility.items():
         l_c, dz_c, dwc = attr_loss(z_in, state.heads[name], onehot, mask)
-        attr_values.append(l_c)
+        l_attr += l_c
         dz_in += dz_c
         grads[f"head:{name}"] = dwc
     # reconstruction objective: link loss plus every utility head loss
-    l_recon = float(l_link) + float(sum(attr_values))
+    l_recon = l_link + l_attr
 
     d = z.shape[1]
     dz = dz_in[:, :d] if concat else dz_in
@@ -511,7 +511,7 @@ def obfuscator_losses(state: ModelState, batch: Batch, lam: float = 0.0,
                                                 batch.lx, state.W1)
     parts = {
         "l_link": l_link,
-        "l_attr": float(sum(attr_values)),
+        "l_attr": l_attr,
         "l_att": l_att,
         "l_recon": l_recon,
         "l_obf": l_obf,

@@ -19,10 +19,6 @@ from pathlib import Path
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand dimensions are inconsistent."""
-
-
 class NumericError(ArithmeticError):
     """A training step or an audit fit produced a non-finite value."""
 
@@ -205,7 +201,7 @@ class Rng(object):
     """
 
     def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
+        self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def random(self, size=None):
         return self._gen.random(size=size)
@@ -251,12 +247,10 @@ def grad_check(fn, params: dict, step: float = 1e-5) -> float:
     all coordinates, scaled by max(1, |analytic|, |numeric|).
     """
     _, grads = fn(params)
-    kept = {k: np.array(grads[k], dtype=np.float64, copy=True) for k in params}
+    kept = {k: grads[k].copy() for k in params}
     worst = 0.0
     for name, p in params.items():
         g = kept[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape mismatch for '{name}'")
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

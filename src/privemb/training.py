@@ -114,7 +114,7 @@ class TrainConfig:
 
         d_prime = self.d_prime
         if spec.disentangles:
-            d_prime = 16 if d_prime is None else int(d_prime)
+            d_prime = 16 if d_prime is None else d_prime
             if d_prime < 1:
                 raise ConfigError("d_prime must be positive")
         elif d_prime is not None:
@@ -176,7 +176,7 @@ def _check_link_memory(n: int, width: int, nnz: int, negs_per_pos: int) -> None:
 
 def _require_finite(value, component: str, iteration: int):
     """A loss or an array, returned when every value is finite."""
-    if value is None or not np.isfinite(value).all():
+    if not np.isfinite(value).all():
         raise NumericError(f"{component} is not finite at iteration {iteration}")
     return value
 
@@ -303,7 +303,7 @@ def load_embeddings(path) -> np.ndarray:
         z, line_of = _read_table(fh, "embeddings", ",", np.float64, line=2)
         bad = ~np.isfinite(z).all(axis=1)
         if bad.any():
-            raise InputError(f"embeddings line {line_of(int(np.argmax(bad)))}: non-finite value")
+            raise InputError(f"embeddings line {line_of(np.argmax(bad))}: non-finite value")
     return z
 
 

@@ -14,7 +14,6 @@ CONVERSIONS = ("asarray", "atleast_1d")
 
 # module.function -> why it converts
 BOUNDARY = {
-    "graphcore.canonical_edges": "it range-checks and canonicalizes endpoints read from a file",
     "graphcore.Graph.__post_init__": "a Graph is also built outside the package, by the bench",
     "graphcore.normalize_adjacency": "scipy returns the row sums as an np.matrix",
 }

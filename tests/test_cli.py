@@ -839,6 +839,25 @@ def test_data_path_that_is_not_a_string_is_one_config_line(tmp_path, key, value)
     assert err == f"config error: 'data.{key}' must be a path string\n", err
 
 
+@pytest.mark.parametrize("argv,overrides,message", [
+    (["train"], {"model": {"T": 0}}, "T must be at least 1"),
+    (["attack"], {"model": {"T": 0}}, "T must be at least 1"),
+    (["attack"], {"eval": {"classifiers": ["svm"]}}, "unknown classifier kind 'svm'"),
+    (["sweep", "--axis", "lambda"], {"model": {"T": 0}}, "T must be at least 1"),
+], ids=["train", "attack", "attack-classifier", "sweep"])
+def test_config_error_comes_before_any_data_file(tmp_path, capsys, argv, overrides, message):
+    """A config error is one config error line, given before any data file
+    is read: none of them exists, so a read would exit 2."""
+    data = {"edges": str(tmp_path / "edges.tsv"), "attributes": str(tmp_path / "attributes.csv"),
+            "schema": _SCHEMA}
+    config = write_config(tmp_path, synth=None, data=data, **overrides)
+    if argv[0] == "attack":
+        argv = argv + ["--embeddings", str(tmp_path / "embeddings.csv")]
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("key,values,message", [
     ("lambda_values", [1.0, -1.0], "lambda must be non-negative"),
     ("dprime_values", [4, 0], "d_prime must be positive"),

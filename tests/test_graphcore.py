@@ -159,7 +159,8 @@ def test_bulk_edge_reader_matches_line_scan(lines, newline, last_newline):
         if unknown is not None:
             assert str(err.value) == f"edge line {lineno}: unknown node id {unknown}"
     else:
-        assert np.array_equal(_load(text, ATTRS).edges, canonical_edges(want, 3))
+        pairs = np.array(want, dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(_load(text, ATTRS).edges, canonical_edges(pairs, 3))
 
 
 def test_schema_validation():
@@ -173,38 +174,22 @@ def test_schema_validation():
 
 
 def test_canonical_edges():
-    out = canonical_edges([(2, 1), (1, 2), (0, 0), (3, 0)], 4)
+    # load_graph refuses an out-of-range endpoint before it canonicalizes
+    out = canonical_edges(np.array([(2, 1), (1, 2), (0, 0), (3, 0)], dtype=np.int64), 4)
     assert out.tolist() == [[0, 3], [1, 2]]
-    with pytest.raises(InputError):
-        canonical_edges([(0, 9)], 4)
 
 
-def _canonical_reference(pairs, n):
-    seen = set()
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge endpoint out of range: ({u}, {v})")
-        if u != v:
-            seen.add((min(u, v), max(u, v)))
-    return sorted(seen)
+def _canonical_reference(pairs):
+    return sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
 
 
 @given(n=st.integers(1, 30),
-       pairs=st.lists(st.tuples(st.integers(-2, 32), st.integers(-2, 32)), max_size=80),
-       in_range=st.booleans())
-def test_canonical_edges_matches_set_reference(n, pairs, in_range):
-    # self-loops, duplicates and reversed pairs, and on half the examples
-    # out-of-range endpoints, whose first offender in input order is named
-    if in_range:
-        pairs = [(u % n, v % n) for u, v in pairs]
-    try:
-        want = _canonical_reference(pairs, n)
-    except InputError as e:
-        with pytest.raises(InputError) as err:
-            canonical_edges(pairs, n)
-        assert str(err.value) == str(e)
-        return
-    out = canonical_edges(pairs, n)
+       pairs=st.lists(st.tuples(st.integers(0, 32), st.integers(0, 32)), max_size=80))
+def test_canonical_edges_matches_set_reference(n, pairs):
+    # self-loops, duplicates and reversed pairs of in-range endpoints
+    pairs = [(u % n, v % n) for u, v in pairs]
+    want = _canonical_reference(pairs)
+    out = canonical_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
     assert out.dtype == np.int64 and out.shape == (len(want), 2)
     assert [tuple(e) for e in out.tolist()] == want
 
