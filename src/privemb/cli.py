@@ -89,13 +89,19 @@ def _merge_section(defaults: dict, given, section: str) -> dict:
         if not (_is_kind(value, kind) or (unset and value is None)):
             raise ConfigError(f"'{section}.{key}' must be {kind.__name__}, "
                               f"not {type(value).__name__}")
+        elem, items = kind, [value]
         if kind is list:
             # each list default is non-empty, of one element type
-            elem = type(defaults[key][0])
+            elem, items = type(defaults[key][0]), value
             for item in value:
                 if not _is_kind(item, elem):
                     raise ConfigError(f"'{section}.{key}' elements must be {elem.__name__}, "
                                       f"not {type(item).__name__}")
+        # an int key's value must fit int64, and a float key's integer a float
+        big = sys.float_info.max
+        low, high = (-2**63, 2**63 - 1) if elem is int else (-big, big)
+        if any(isinstance(item, int) and not low <= item <= high for item in items):
+            raise ConfigError(f"'{section}.{key}' is out of range")
         merged[key] = value
     return merged
 

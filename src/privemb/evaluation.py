@@ -26,10 +26,6 @@ class ClassifierSpec:
     """One member of the evaluation battery."""
 
     kind: str = "mlp"
-    lr: float = 0.01
-    steps: int = 300
-    hidden: int = 64
-    k: int = 5
 
     def __post_init__(self):
         if self.kind not in _FITTERS:
@@ -83,15 +79,28 @@ def _require_finite(name: str, *arrays) -> None:
         raise NumericError(f"{name} is not finite")
 
 
-def _fit_softmax(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
+# the battery's fixed settings (a config picks only the kinds): Adam's rate
+# and steps, the MLP's width, kNN's k and the node splits a task may draw
+_ADAM_LR = 0.01
+_ADAM_STEPS = 300
+_MLP_HIDDEN = 64
+_KNN_K = 5
+_SPLIT_DRAWS = 20
+# training rows per tile of an MLP step: the tile's hidden-layer arrays
+# stay in a core's L2 cache. Fixed, because it sets the order in which the
+# weight gradient is summed.
+_MLP_TILE_ROWS = 1024
+
+
+def _fit_softmax(x, labels, m, seed: int, name: str = "fit"):
     n, d = x.shape
     theta, (w, b) = _flat_views([(d, m), (m,)])
     grad, (gw, gb) = _flat_views([(d, m), (m,)])
     targets = onehot(labels, m)
     logits = np.empty((n, m))
     g = np.empty((n, m))
-    opt = Adam({"theta": theta}, lr=spec.lr)
-    for _ in range(spec.steps):
+    opt = Adam({"theta": theta}, lr=_ADAM_LR)
+    for _ in range(_ADAM_STEPS):
         np.matmul(x, w, out=logits)
         logits += b
         softmax_cross_entropy_grad(logits, targets, g, n)
@@ -107,18 +116,12 @@ def _fit_softmax(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit
     return predict
 
 
-# training rows per tile of an MLP step: the tile's hidden-layer arrays
-# stay in a core's L2 cache. Fixed, because it sets the order in which the
-# weight gradient is summed.
-_MLP_TILE_ROWS = 1024
-
-
-def _fit_mlp(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
+def _fit_mlp(x, labels, m, seed: int, name: str = "fit"):
     """Full-batch Adam on a one-hidden-layer ReLU network. Each step walks
     the rows in tiles of _MLP_TILE_ROWS and sums the tiles' gradients, so
     a fit of at most one tile runs the untiled operations."""
     n, d = x.shape
-    hid = spec.hidden
+    hid = _MLP_HIDDEN
     shapes = [(d, hid), (hid,), (hid, m), (m,)]
     theta, (w1, b1, w2, b2) = _flat_views(shapes)
     grad, grad_blocks = _flat_views(shapes)
@@ -128,7 +131,6 @@ def _fit_mlp(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     w2[...] = rng.glorot(hid, m)
     targets = onehot(labels, m)
     tile = min(n, _MLP_TILE_ROWS)
-    pre = np.empty((tile, hid))
     h = np.empty((tile, hid))
     active = np.empty((tile, hid), dtype=bool)
     dh = np.empty((tile, hid))
@@ -136,19 +138,19 @@ def _fit_mlp(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
     g = np.empty((tile, m))
     # each tile's rows of x and the targets, and the scratch rows it uses
     tiles = [[a[s:s + tile] for a in (x, targets)]
-             + [a[:min(tile, n - s)] for a in (pre, h, active, dh, logits, g)]
+             + [a[:min(tile, n - s)] for a in (h, active, dh, logits, g)]
              for s in range(0, n, tile)]
-    opt = Adam({"theta": theta}, lr=spec.lr)
-    for _ in range(spec.steps):
-        for i, (x_t, targets_t, pre_t, h_t, active_t, dh_t, logits_t, g_t) in enumerate(tiles):
-            np.matmul(x_t, w1, out=pre_t)
-            pre_t += b1
-            np.maximum(pre_t, 0.0, out=h_t)
+    opt = Adam({"theta": theta}, lr=_ADAM_LR)
+    for _ in range(_ADAM_STEPS):
+        for i, (x_t, targets_t, h_t, active_t, dh_t, logits_t, g_t) in enumerate(tiles):
+            np.matmul(x_t, w1, out=h_t)
+            h_t += b1
+            np.maximum(h_t, 0.0, out=h_t)
             np.matmul(h_t, w2, out=logits_t)
             logits_t += b2
             softmax_cross_entropy_grad(logits_t, targets_t, g_t, n)
             np.matmul(g_t, w2.T, out=dh_t)
-            np.greater(pre_t, 0.0, out=active_t)
+            np.greater(h_t, 0.0, out=active_t)
             dh_t *= active_t
             gw1, gb1, gw2, gb2 = part_blocks if i else grad_blocks
             np.matmul(x_t.T, dh_t, out=gw1)
@@ -220,8 +222,8 @@ def _knn_nearest(q, x, k, name="fit"):
     return nearest
 
 
-def _fit_knn(x, labels, m, spec: ClassifierSpec, seed: int, name: str = "fit"):
-    k = min(spec.k, x.shape[0])
+def _fit_knn(x, labels, m, seed: int, name: str = "fit"):
+    k = min(_KNN_K, x.shape[0])
 
     def predict(q):
         votes = labels[_knn_nearest(q, x, k, name)]
@@ -238,19 +240,18 @@ def fit_classifier(spec: ClassifierSpec, x, labels, num_classes: int, seed: int,
     """Train one battery member on codes 1..num_classes; the returned
     predictor maps feature rows to codes. A non-finite fit raises
     NumericError naming ``task`` and the kind."""
-    return _FITTERS[spec.kind](x, labels, num_classes, spec, seed,
-                               f"{task} {spec.kind} fit".lstrip())
+    return _FITTERS[spec.kind](x, labels, num_classes, seed, f"{task} {spec.kind} fit".lstrip())
 
 
-def _split_with_redraw(mask, labels, fraction, seed, attempts=20):
+def _split_with_redraw(mask, labels, fraction, seed):
     """Split the labeled nodes so every present class reaches the training
     side, re-drawing with derived seeds before giving up."""
     present = np.unique(labels[mask])
-    for a in range(attempts):
+    for a in range(_SPLIT_DRAWS):
         split = split_nodes(mask, fraction, derive_seed(seed, f"try/{a}"))
         if np.all(np.isin(present, labels[split.train])):
             return split
-    raise InputError(f"no split with all classes on the training side after {attempts} draws")
+    raise InputError(f"no split with all classes on the training side after {_SPLIT_DRAWS} draws")
 
 
 def _summary(method, task, spec, fraction, accs, f1s) -> list:
@@ -312,7 +313,7 @@ def audit(z, g, schema, specs, labels: dict, cfg: training.TrainConfig, *, repea
 
 # pairs per block of a link table: the two gathered endpoint blocks stay
 # small beside the table
-_PAIR_BLOCK = 512
+_TABLE_BLOCK = 512
 
 
 def _pair_table(z, *sides):
@@ -321,8 +322,8 @@ def _pair_table(z, *sides):
     table = np.empty((sum(len(pairs) for pairs in sides), z.shape[1]))
     at = 0
     for pairs in sides:
-        for s in range(0, len(pairs), _PAIR_BLOCK):
-            u, v = pairs[s:s + _PAIR_BLOCK].T
+        for s in range(0, len(pairs), _TABLE_BLOCK):
+            u, v = pairs[s:s + _TABLE_BLOCK].T
             np.multiply(z[u], z[v], out=table[at:at + len(u)])
             at += len(u)
     return table

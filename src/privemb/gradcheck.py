@@ -33,7 +33,7 @@ from .numkit import Rng, bce_with_logits, derive_seed, grad_check, relu, relu_ba
 from .training import TrainConfig, prepare_batch
 
 DEFAULT_TOLERANCE = 1e-4
-DEFAULT_STEP = 1e-5
+SEED = 7  # every case's problem derives from it
 
 
 @dataclass
@@ -43,16 +43,16 @@ class CheckResult:
     passed: bool
 
 
-def tiny_problem(variant: str, seed: int = 7):
+def tiny_problem(variant: str):
     """A 12-node synthetic graph with small widths, one per variant."""
     params = SynthParams(n=12, private_classes=2, utility_classes=3,
-                         p_in=0.65, p_out=0.35, rho=0.5, flip_rate=0.2, seed=seed)
+                         p_in=0.65, p_out=0.35, rho=0.5, flip_rate=0.2, seed=SEED)
     g, schema = synth_graph(params)
     batch = prepare_batch(g, schema, variant, g.edges)
     spec = VARIANT_SPECS[variant]
     cfg = TrainConfig(variant=variant, d=5, hidden=6, d_prime=3 if spec.disentangles else None,
                       lam=0.7 if spec.purges else None,
-                      seed=derive_seed(seed, f"state/{variant}")).resolved()
+                      seed=derive_seed(SEED, f"state/{variant}")).resolved()
     return g, schema, batch, cfg, init_state(cfg, batch)
 
 
@@ -62,8 +62,8 @@ def _away_from_kinks(rng, rows, cols, margin=1e-3):
     return x
 
 
-def _kernel_cases(seed):
-    rng = Rng(derive_seed(seed, "kernels"))
+def _kernel_cases():
+    rng = Rng(derive_seed(SEED, "kernels"))
     cases = []
 
     x0 = _away_from_kinks(rng, 4, 5)
@@ -90,9 +90,9 @@ def _kernel_cases(seed):
     return cases
 
 
-def _loss_cases(seed):
-    g, schema, batch, cfg, state = tiny_problem("APGE", seed)
-    rng = Rng(derive_seed(seed, "losses"))
+def _loss_cases():
+    g, schema, batch, cfg, state = tiny_problem("APGE")
+    rng = Rng(derive_seed(SEED, "losses"))
     n = g.n
     cases = []
 
@@ -104,7 +104,7 @@ def _loss_cases(seed):
 
     cases.append(("loss/link_exact", link_exact_fn, {"z": z0.copy()}))
 
-    neg_rng = Rng(derive_seed(seed, "negs"))
+    neg_rng = Rng(derive_seed(SEED, "negs"))
     negatives = sample_negative_pairs(batch, 3 * lap.nnz, neg_rng)
 
     def link_sampled_fn(p):
@@ -167,10 +167,10 @@ def _loss_cases(seed):
     return cases
 
 
-def _obfuscator_cases(seed):
+def _obfuscator_cases():
     cases = []
     for variant in VARIANTS:
-        g, schema, batch, cfg, state = tiny_problem(variant, seed)
+        g, schema, batch, cfg, state = tiny_problem(variant)
         lam = cfg.lam or 0.0
 
         def obf_fn(params, state=state, batch=batch, lam=lam):
@@ -181,14 +181,13 @@ def _obfuscator_cases(seed):
     return cases
 
 
-def all_cases(seed: int = 7):
-    return _kernel_cases(seed) + _loss_cases(seed) + _obfuscator_cases(seed)
+def all_cases():
+    return _kernel_cases() + _loss_cases() + _obfuscator_cases()
 
 
-def run_suite(tol: float = DEFAULT_TOLERANCE, step: float = DEFAULT_STEP,
-              seed: int = 7) -> list:
+def run_suite() -> list:
     results = []
-    for name, fn, params in all_cases(seed):
-        err = grad_check(fn, params, step=step)
-        results.append(CheckResult(name=name, max_error=err, passed=err < tol))
+    for name, fn, params in all_cases():
+        err = grad_check(fn, params)
+        results.append(CheckResult(name=name, max_error=err, passed=err < DEFAULT_TOLERANCE))
     return results

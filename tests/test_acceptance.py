@@ -118,7 +118,7 @@ def trend_ok(means, decreasing, slack=0.02):
 
 def test_gradient_suite():
     start = time.perf_counter()
-    results = run_suite(tol=1e-4, step=1e-5)
+    results = run_suite()
     elapsed = time.perf_counter() - start
     worst = max(r.max_error for r in results)
     ok = all(r.passed for r in results) and elapsed < 60.0

@@ -858,6 +858,39 @@ def test_config_error_comes_before_any_data_file(tmp_path, capsys, argv, overrid
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("key", ["lambda", "lr", "d", "hidden", "d_prime",
+                                 "negatives_per_positive"])
+def test_huge_json_integer_is_one_config_line(tmp_path, capsys, key):
+    """An integer beyond int64 for an int key, or beyond the float range for
+    a float key, is refused where the config enters, not by a traceback from
+    the float() or the division that meets it."""
+    model = {"variant": "APGE", "T": 2, "link_loss": "sampled", key: 10**400}
+    config = write_config(tmp_path, model=model)
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: 'model.{key}' is out of range\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value,ok", [
+    ("model", "d", 2**63 - 1, True), ("model", "d", 2**63, False),
+    ("model", "hidden", -2**63, True), ("model", "hidden", -2**63 - 1, False),
+    ("model", "lambda", int(sys.float_info.max), True),
+    ("model", "lambda", int(sys.float_info.max) + 1, False),
+    ("eval", "dprime_values", [2, 2**63], False),
+    ("eval", "lambda_values", [0.0, -10**400], False),
+], ids=["int64-max", "above-int64", "int64-min", "below-int64", "float-max", "above-float",
+        "int-list", "float-list"])
+def test_integer_range_edges(section, key, value, ok):
+    """The bounds are int64's and the largest float's, inclusive; a list's
+    elements are held to its element type's bound."""
+    raw = {"synth": {}, section: {key: value}}
+    if ok:
+        assert resolve_config(raw)[section][key] == value
+    else:
+        with pytest.raises(ConfigError, match=f"^'{section}.{key}' is out of range$"):
+            resolve_config(raw)
+
+
 @pytest.mark.parametrize("key,values,message", [
     ("lambda_values", [1.0, -1.0], "lambda must be non-negative"),
     ("dprime_values", [4, 0], "d_prime must be positive"),

@@ -29,6 +29,13 @@ from privemb.numkit import (NumericError, Rng, derive_seed, softmax_cross_entrop
 from privemb.training import TrainConfig
 
 
+def set_battery(monkeypatch, **constants):
+    """Give the battery's fixed settings (``_ADAM_LR``, ``_ADAM_STEPS``,
+    ``_MLP_HIDDEN``, ``_KNN_K``) other values for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(evaluation, name, value)
+
+
 def onehot_of(labels, m):
     z = np.zeros((labels.size, m))
     z[np.arange(labels.size), labels - 1] = 1.0
@@ -103,31 +110,33 @@ class TestClassifiers:
         assert np.array_equal(evaluation._knn_nearest(q, x, 4), want)
 
     @pytest.mark.parametrize("n,m", [(37, 2), (50, 4)])
-    def test_softmax_matches_per_step_reference(self, n, m):
+    def test_softmax_matches_per_step_reference(self, monkeypatch, n, m):
         x, y0, q = self.problem(n, m)
-        spec = ClassifierSpec(kind="softmax", lr=0.05, steps=40)
-        predict = evaluation._fit_softmax(x, y0 + 1, m, spec, seed=0)
+        lr, steps = 0.05, 40
+        set_battery(monkeypatch, _ADAM_LR=lr, _ADAM_STEPS=steps)
+        predict = evaluation._fit_softmax(x, y0 + 1, m, seed=0)
         got = inspect.getclosurevars(predict).nonlocals
         w = np.zeros((x.shape[1], m))
         b = np.zeros(m)
-        step = adam_reference({"w": w, "b": b}, spec.lr)
-        for _ in range(spec.steps):
+        step = adam_reference({"w": w, "b": b}, lr)
+        for _ in range(steps):
             _, g = softmax_cross_entropy(x @ w + b, onehot_of(y0 + 1, m), np.arange(n))
             step({"w": x.T @ g, "b": g.sum(axis=0)})
         assert np.array_equal(got["w"], w) and np.array_equal(got["b"], b)
         assert np.array_equal(predict(q), np.argmax(q @ w + b, axis=1) + 1)
 
     @pytest.mark.parametrize("n,m", [(37, 2), (50, 4)])
-    def test_mlp_matches_per_step_reference(self, n, m):
+    def test_mlp_matches_per_step_reference(self, monkeypatch, n, m):
         x, y0, q = self.problem(n, m)
-        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
-        predict = evaluation._fit_mlp(x, y0 + 1, m, spec, seed=5)
+        lr, steps, hidden = 0.05, 40, 7
+        set_battery(monkeypatch, _ADAM_LR=lr, _ADAM_STEPS=steps, _MLP_HIDDEN=hidden)
+        predict = evaluation._fit_mlp(x, y0 + 1, m, seed=5)
         got = inspect.getclosurevars(predict).nonlocals
         rng = Rng(5)
-        p = {"w1": rng.glorot(x.shape[1], spec.hidden), "b1": np.zeros(spec.hidden),
-             "w2": rng.glorot(spec.hidden, m), "b2": np.zeros(m)}
-        step = adam_reference(p, spec.lr)
-        for _ in range(spec.steps):
+        p = {"w1": rng.glorot(x.shape[1], hidden), "b1": np.zeros(hidden),
+             "w2": rng.glorot(hidden, m), "b2": np.zeros(m)}
+        step = adam_reference(p, lr)
+        for _ in range(steps):
             pre = x @ p["w1"] + p["b1"]
             h = np.maximum(pre, 0.0)
             _, g = softmax_cross_entropy(h @ p["w2"] + p["b2"], onehot_of(y0 + 1, m),
@@ -143,29 +152,30 @@ class TestClassifiers:
     def test_mlp_tiles_match_one_tile(self, monkeypatch):
         # tiles of 7 rows over 50: seven full tiles and a short last one
         x, y0, q = self.problem(50, 3)
-        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=40, hidden=7)
-        whole = evaluation._fit_mlp(x, y0 + 1, 3, spec, seed=5)
+        set_battery(monkeypatch, _ADAM_LR=0.05, _ADAM_STEPS=40, _MLP_HIDDEN=7)
+        whole = evaluation._fit_mlp(x, y0 + 1, 3, seed=5)
         monkeypatch.setattr(evaluation, "_MLP_TILE_ROWS", 7)
-        tiled = evaluation._fit_mlp(x, y0 + 1, 3, spec, seed=5)
+        tiled = evaluation._fit_mlp(x, y0 + 1, 3, seed=5)
         want = inspect.getclosurevars(whole).nonlocals
         got = inspect.getclosurevars(tiled).nonlocals
         for k in ("w1", "b1", "w2", "b2"):
             assert_close(got[k], want[k], tol=1e-12)
         assert np.array_equal(tiled(q), whole(q))
 
-    def test_mlp_sums_rows_0_1023_then_the_rest(self):
+    def test_mlp_sums_rows_0_1023_then_the_rest(self, monkeypatch):
         # a fit of 1100 rows is two tiles; the per-tile gradients are summed
         # in tile order, so the tile size fixes the weights' last bits
         x, y0, q = self.problem(1100, 3)
         n, m = x.shape[0], 3
-        spec = ClassifierSpec(kind="mlp", lr=0.05, steps=6, hidden=7)
-        got = inspect.getclosurevars(evaluation._fit_mlp(x, y0 + 1, m, spec, seed=5)).nonlocals
+        lr, steps, hidden = 0.05, 6, 7
+        set_battery(monkeypatch, _ADAM_LR=lr, _ADAM_STEPS=steps, _MLP_HIDDEN=hidden)
+        got = inspect.getclosurevars(evaluation._fit_mlp(x, y0 + 1, m, seed=5)).nonlocals
         rng = Rng(5)
-        p = {"w1": rng.glorot(x.shape[1], spec.hidden), "b1": np.zeros(spec.hidden),
-             "w2": rng.glorot(spec.hidden, m), "b2": np.zeros(m)}
-        step = adam_reference(p, spec.lr)
+        p = {"w1": rng.glorot(x.shape[1], hidden), "b1": np.zeros(hidden),
+             "w2": rng.glorot(hidden, m), "b2": np.zeros(m)}
+        step = adam_reference(p, lr)
         targets = onehot_of(y0 + 1, m)
-        for _ in range(spec.steps):
+        for _ in range(steps):
             total = None
             for rows in (slice(0, 1024), slice(1024, n)):
                 x_t = x[rows]
@@ -180,12 +190,12 @@ class TestClassifiers:
         for k in p:
             assert got[k].tobytes() == p[k].tobytes(), k
 
-    def test_mlp_fit_memory_stays_below_one_hidden_array(self):
+    def test_mlp_fit_memory_stays_below_one_hidden_array(self, monkeypatch):
         n, hidden = 20000, 64
         x = Rng(4).randn(n, 64)
         y0 = np.arange(n) % 2
-        spec = ClassifierSpec(kind="mlp", steps=2, hidden=hidden)
-        assert traced_peak(evaluation._fit_mlp, x, y0 + 1, 2, spec, 0) < n * hidden * 8
+        set_battery(monkeypatch, _ADAM_STEPS=2, _MLP_HIDDEN=hidden)
+        assert traced_peak(evaluation._fit_mlp, x, y0 + 1, 2, 0) < n * hidden * 8
 
     def problem(self, n, m):
         rng = Rng(n + m)
@@ -193,9 +203,10 @@ class TestClassifiers:
         x = rng.randn(n, 6) + y0[:, None] * 0.3
         return x, y0, rng.randn(11, 6)
 
-    def test_knn_vote_picks_lowest_tied_label(self):
+    def test_knn_vote_picks_lowest_tied_label(self, monkeypatch):
         x = np.array([[0.0], [1.0], [-1.0], [2.0]])
-        predict = fit_classifier(ClassifierSpec(kind="knn", k=4), x,
+        set_battery(monkeypatch, _KNN_K=4)
+        predict = fit_classifier(ClassifierSpec(kind="knn"), x,
                                  np.array([2, 1, 2, 1]), 3, seed=0)
         # two votes each for codes 1 and 2: the lower code wins, as bincount's argmax
         assert predict(np.array([[0.0]])).tolist() == [1]
@@ -318,10 +329,11 @@ class TestAttackEval:
                         fraction=0.5, repeats=1)
 
 
-def test_data_faults_are_input_errors():
+def test_data_faults_are_input_errors(monkeypatch):
     z = np.eye(4)
     labels = np.array([1, 2, 1, 2])
-    spec = ClassifierSpec(kind="softmax", steps=2)
+    set_battery(monkeypatch, _ADAM_STEPS=2)
+    spec = ClassifierSpec(kind="softmax")
     for mask in (np.array([], dtype=int), np.array([2])):
         with pytest.raises(InputError):
             privacy_eval(z, labels, mask, 2, spec, repeats=1)
@@ -384,7 +396,7 @@ class TestLinkEval:
     @pytest.mark.parametrize("block", [7, 512])
     def test_pair_table_rows_are_products(self, monkeypatch, block):
         # 40 and 33 pairs: with blocks of 7 both sides end in a short block
-        monkeypatch.setattr(evaluation, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(evaluation, "_TABLE_BLOCK", block)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((30, 5))
         a = rng.integers(0, 30, size=(40, 2))
@@ -393,14 +405,15 @@ class TestLinkEval:
         assert evaluation._pair_table(z, a, b).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "softmax"])
-    def test_link_eval_peak_is_about_one_table(self, kind):
+    def test_link_eval_peak_is_about_one_table(self, monkeypatch, kind):
         # the training table is two rows of width 64 per training edge; the
         # held-out table is smaller and built after it is dropped
         g, _ = synth_graph(SynthParams(n=1500, p_in=0.02, p_out=0.002, seed=3))
         split = split_edges(g, 0.15, 5)
         z = Rng(1).randn(g.n, 64)
         table = 2 * len(split.train_edges) * 64 * 8
-        peak = traced_peak(link_eval, z, split, ClassifierSpec(kind=kind, steps=2))
+        set_battery(monkeypatch, _ADAM_STEPS=2)
+        peak = traced_peak(link_eval, z, split, ClassifierSpec(kind=kind))
         assert peak < 1.4 * table
 
     def test_memory_check_counts_both_tables_for_knn(self, monkeypatch):
@@ -410,7 +423,8 @@ class TestLinkEval:
         split = split_edges(g, 0.2, 3)
         z = Rng(8).randn(12, 4)
         monkeypatch.setattr(training, "LINK_MEMORY_BUDGET", 8 * 4 * 48)
-        link_eval(z, split, ClassifierSpec(kind="mlp", steps=2), seed=1)
+        set_battery(monkeypatch, _ADAM_STEPS=2)
+        link_eval(z, split, ClassifierSpec(kind="mlp"), seed=1)
         with pytest.raises(InputError, match=f"needs {8 * 4 * 60} bytes"):
             link_eval(z, split, ClassifierSpec(kind="knn"), seed=1)
 
@@ -450,7 +464,7 @@ def test_write_report_roundtrip(tmp_path):
 # ---------------------------------------------------------------- audit
 
 
-def test_audit_equals_direct_calls(small_synth):
+def test_audit_equals_direct_calls(monkeypatch, small_synth):
     g0, _ = small_synth
     codes = Rng(4).integers(0, 4, size=g0.n)  # code 0: some nodes unlabeled
     g = Graph(n=g0.n, edges=g0.edges,
@@ -463,7 +477,8 @@ def test_audit_equals_direct_calls(small_synth):
     z = Rng(5).randn(g.n, 4)
     cfg = TrainConfig(edge_holdout=0.2, seed=9)  # the link task scores the run's split
     split = split_edges(g, 0.2, derive_seed(9, "edges"))
-    specs = [ClassifierSpec(kind="softmax", steps=20), ClassifierSpec(kind="knn")]
+    set_battery(monkeypatch, _ADAM_STEPS=20)
+    specs = [ClassifierSpec(kind="softmax"), ClassifierSpec(kind="knn")]
     kw = dict(repeats=2, fraction=0.4, utility_fraction=0.6, method="m")
 
     want = []

@@ -1,5 +1,6 @@
-"""Golden output bytes: three small runs, the audits of one of them and a
-sweep on each axis, whose output files keep their sha256 digests.
+"""Golden output bytes: three small runs, the audits of one of them, a
+sweep on each axis and the gradient suite's report, whose output files
+(and stdout) keep their sha256 digests.
 
 A refactor that claims "same bytes" is checked here. A change that alters
 output bytes on purpose updates ``DIGESTS`` and logs old -> new in
@@ -43,6 +44,8 @@ DIGESTS = {
         "66a14b84f702d5df08176ed046be84f5e7b46d46288dbbdfc0cb824e34d84efa",
     "sweep-lambda/report.csv":
         "c94968196c0bdcbf2f78a7148f8a682ccfc9886569e2d933cbbdc2a035f12502",
+    "gradcheck/stdout.txt":
+        "4a40a87427d068c17d44a549af9db623bc03c165ffdc0db61dfde69fa534da4b",
 }
 
 SYNTH = {"n": 200, "private_classes": 2, "utility_classes": 3, "p_in": 0.08, "p_out": 0.01}
@@ -128,3 +131,11 @@ def test_sweep_reports(tmp_path, axis):
     _command(tmp_path, "sweep", "apge-exact", "--axis", axis, evaluation=SWEEP_EVAL,
              out=f"sweep-{axis}")
     _check(tmp_path, [f"sweep-{axis}/report.csv"])
+
+
+def test_gradcheck_report(tmp_path, capsys):
+    # each case's error is printed to four digits, so the report pins them
+    assert main(["gradcheck"]) == 0
+    (tmp_path / "gradcheck").mkdir()
+    (tmp_path / "gradcheck/stdout.txt").write_bytes(capsys.readouterr().out.encode())
+    _check(tmp_path, ["gradcheck/stdout.txt"])

@@ -468,7 +468,7 @@ def test_split_edges_partition_matches_tuple_reference(n, density, holdout, seed
         fitted.append(x)
         return lambda q: np.ones(len(q), dtype=np.int64)
 
-    spec = ClassifierSpec(kind="softmax", steps=1)
+    spec = ClassifierSpec(kind="softmax")
     with mock.patch.object(evaluation, "fit_classifier", fit):
         if n * (n - 1) // 2 - m - k < m - k:
             with pytest.raises(InputError, match="non-edges"):
